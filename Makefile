@@ -4,10 +4,15 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify verify-cluster fuzz-smoke harness-checks telemetry-check cluster-check tune-check check bench bench-sim bench-gxhc bench-cluster bench-overlap bench-obs bench-tune quick-report
+.PHONY: loc build test vet race verify verify-cluster fuzz-smoke harness-checks telemetry-check cluster-check tune-check check bench bench-sim bench-gxhc bench-cluster bench-overlap bench-obs bench-tune quick-report
 
 build:
 	$(GO) build ./...
+
+# Tracked non-test Go line count outside perfbench/ — the code-size
+# figure ROADMAP.md tracks next to latency.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 vet:
 	$(GO) vet ./...
@@ -46,10 +51,10 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzHierarchyBuild -fuzztime 5s -run '^$$' ./internal/hier/
 	$(GO) test -fuzz FuzzPlanFile -fuzztime 5s -run '^$$' ./internal/tune/
 
-# Oversubscription regression (waiter starvation, both park and spin
-# modes — plus a race pass over the parking handshake under the same
-# thread starvation), the gxhc_unsafe kernel variant, and the pin that
-# reports stay byte-identical with observability compiled in but disabled;
+# Oversubscription regression (waiter starvation — plus a race pass over
+# the parking handshake under the same thread starvation), the
+# gxhc_unsafe kernel variant, and the pin that reports stay byte-identical
+# with observability compiled in but disabled;
 # scripts/check.sh carries the same steps for environments without make.
 harness-checks:
 	GOMAXPROCS=2 $(GO) test -timeout 120s -run TestOversubscribedProgress ./internal/gxhc/
@@ -87,8 +92,6 @@ telemetry-check:
 	sed 's/[0-9][0-9.]*/N/g; s/  */ /g; s/--*/-/g' /tmp/xhc_check_gx_off.txt > /tmp/xhc_check_gx_off_shape.txt
 	sed 's/[0-9][0-9.]*/N/g; s/  */ /g; s/--*/-/g' /tmp/xhc_check_gx_on.txt > /tmp/xhc_check_gx_on_shape.txt
 	cmp /tmp/xhc_check_gx_off_shape.txt /tmp/xhc_check_gx_on_shape.txt
-	$(GO) run ./cmd/xhcbench -backend gxhc -coll bcast -np 4 -procs 2 \
-	    -sizes 4096 -warmup 5 -iters 20 -allocgate -spin > /dev/null
 	$(GO) run ./cmd/xhcstat -baseline BENCH_gxhc.json \
 	    -current BENCH_gxhc.json > /dev/null
 	$(GO) run ./cmd/xhcbench -backend gxhc -coll ibcast-overlap,ibcast-fused \

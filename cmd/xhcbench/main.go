@@ -76,7 +76,6 @@ func main() {
 	groupSize := flag.Int("group", 8, "gxhc backend: hierarchy leaf group size")
 	chunkBytes := flag.Int("chunk", 64<<10, "gxhc backend: broadcast pipelining chunk bytes")
 	workers := flag.Int("workers", 0, "cluster platforms: engine-shard goroutines (0 = GOMAXPROCS, 1 = sequential reference)")
-	spin := flag.Bool("spin", false, "gxhc backend: spin-only waiter (no parking)")
 	allocGate := flag.Bool("allocgate", false, "gxhc backend: fail unless the steady-state op path is allocation-free at every measured size")
 	traceOut := flag.String("trace", "", "write per-rank phase spans as Chrome-trace JSON to this file")
 	metrics := flag.Bool("metrics", false, "print the unified observability snapshot on exit")
@@ -164,8 +163,7 @@ func main() {
 		records = runGxhc(gxhcOpts{
 			coll: *collective, sizes: sizes, nranks: *nranks,
 			procs: *procsArg, group: *groupSize, chunk: *chunkBytes,
-			spin: *spin, allocGate: *allocGate,
-			warmup: *warmup, iters: *iterations, dirty: !*stock, root: *root,
+			allocGate: *allocGate, warmup: *warmup, iters: *iterations, dirty: !*stock, root: *root,
 		}, reg)
 	} else if cl := topo.ClusterByName(*platform); cl != nil {
 		records = runCluster(cl, clusterOpts{
@@ -482,12 +480,12 @@ func runCluster(cl *topo.Cluster, o clusterOpts) []cellRecord {
 }
 
 type gxhcOpts struct {
-	coll                   string
-	sizes                  []int
-	procs                  string
-	nranks, group, chunk   int
-	root, warmup, iters    int
-	spin, allocGate, dirty bool
+	coll                 string
+	sizes                []int
+	procs                string
+	nranks, group, chunk int
+	root, warmup, iters  int
+	allocGate, dirty     bool
 }
 
 // runGxhc measures the real goroutine-backed gxhc communicator on the wall
@@ -515,11 +513,6 @@ func runGxhc(o gxhcOpts, reg *obs.Registry) []cellRecord {
 			procs = append(procs, p)
 		}
 	}
-	component := "gxhc"
-	if o.spin {
-		component = "gxhc-spin"
-	}
-
 	var records []cellRecord
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -527,14 +520,14 @@ func runGxhc(o gxhcOpts, reg *obs.Registry) []cellRecord {
 		coll = strings.TrimSpace(coll)
 		spec := gxhc.BenchSpec{
 			Ranks: np,
-			Cfg:   gxhc.Config{GroupSize: o.group, ChunkBytes: o.chunk, Spin: o.spin},
+			Cfg:   gxhc.Config{GroupSize: o.group, ChunkBytes: o.chunk},
 			Coll:  coll, Warmup: o.warmup, Iters: o.iters, Dirty: o.dirty, Root: o.root,
 		}
 		var worlds []*obs.World
 		if reg != nil {
 			spec.Observe = func(c *gxhc.Comm) {
 				wo := reg.NewWorld("gxhc", np, obs.WallTicksPerUS, obs.WallClock())
-				wo.Rec.Backend = component
+				wo.Rec.Backend = "gxhc"
 				c.AttachRecorder(wo.Rec)
 				worlds = append(worlds, wo)
 			}
@@ -566,7 +559,7 @@ func runGxhc(o gxhcOpts, reg *obs.Registry) []cellRecord {
 					rowSizes = append(rowSizes, r.Size)
 				}
 				records = append(records, cellRecord{
-					Platform: fmt.Sprintf("gxhc-P%d", p), Collective: coll, Component: component,
+					Platform: fmt.Sprintf("gxhc-P%d", p), Collective: coll, Component: "gxhc",
 					Size: r.Size, AvgLatUS: r.AvgLat, MinLatUS: r.MinLat, MaxLatUS: r.MaxLat,
 					WallMS: float64(wall.Microseconds()) / 1e3,
 				})
@@ -592,15 +585,11 @@ func runGxhc(o gxhcOpts, reg *obs.Registry) []cellRecord {
 			wo.Finish(mem.Stats{}, sim.EngineStats{})
 		}
 
-		waiter := "park"
-		if o.spin {
-			waiter = "spin"
-		}
 		if ci > 0 {
 			fmt.Println()
 		}
-		fmt.Printf("# %s on gxhc (wall clock), %d ranks, group %d, waiter=%s, root %d (latency us, mean of %d iters)\n",
-			coll, np, o.group, waiter, o.root, o.iters)
+		fmt.Printf("# %s on gxhc (wall clock), %d ranks, group %d, root %d (latency us, mean of %d iters)\n",
+			coll, np, o.group, o.root, o.iters)
 		t := &stats.Table{Header: append([]string{"size"}, colLabels...)}
 		for _, n := range rowSizes {
 			row := []string{stats.SizeLabel(n)}

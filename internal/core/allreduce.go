@@ -8,6 +8,7 @@ import (
 	"xhc/internal/mem"
 	"xhc/internal/mpi"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/shm"
 	"xhc/internal/sim"
 	"xhc/internal/xpmem"
@@ -20,7 +21,7 @@ import (
 // result.
 func (c *Comm) Allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op) {
 	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqAllreduce, sbuf, rbuf, 0, n, 0, dt, op))
+		c.issueBlocking(p, c.buildReq(p.Rank, proto.Allreduce, sbuf, rbuf, 0, n, 0, dt, op))
 		return
 	}
 	c.allreduce(p, sbuf, rbuf, n, dt, op, true, 0)
@@ -31,7 +32,7 @@ func (c *Comm) Allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Data
 // accumulators are used at non-root leaders.
 func (c *Comm) Reduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, root int) {
 	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqReduce, sbuf, rbuf, 0, n, root, dt, op))
+		c.issueBlocking(p, c.buildReq(p.Rank, proto.Reduce, sbuf, rbuf, 0, n, root, dt, op))
 		return
 	}
 	c.allreduce(p, sbuf, rbuf, n, dt, op, false, root)
@@ -53,10 +54,10 @@ func (c *Comm) allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Data
 	if !bcast {
 		opCode = obs.OpReduce
 	}
-	pc := c.newPhaseClock(p, opCode, view.opSeq, int64(n), st.h.NLevels())
+	pc := c.clocks.Begin(p.Rank, p.Core, opCode, view.opSeq, int64(n), st.h.NLevels())
 	if n == 0 {
 		c.ackPhase(p, st, view, pc)
-		pc.finish()
+		pc.Finish()
 		return
 	}
 
@@ -107,10 +108,10 @@ func (c *Comm) allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Data
 				}
 			}
 			shm.WaitAllGE(p.S, p.Core, flags, view.opSeq)
-			pc.mark(-1, obs.PhaseAck, 0)
+			pc.Mark(-1, obs.PhaseAck, 0)
 		}
 	}
-	pc.finish()
+	pc.Finish()
 }
 
 // scratchFor returns (growing on demand) rank's internal accumulator.
@@ -186,7 +187,7 @@ func (c *Comm) pollInterval(n int) sim.Duration {
 }
 
 // xpmemAllreduce is the single-copy path.
-func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *phaseClock) {
+func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *obs.SegClock) {
 	lead := st.leadLevels(p.Rank)
 	pl := st.pullLevel(p.Rank)
 	es := dt.Size()
@@ -224,7 +225,7 @@ func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, 
 			gs.redReady[p.Rank].Set(p.S, p.Core, view.redCum[0]+uint64(n))
 		}
 	}
-	pc.mark(-1, obs.PhaseExpose, 0)
+	pc.Mark(-1, obs.PhaseExpose, 0)
 
 	if len(lead) == 0 {
 		// Pure member: blocking reduction work, then blocking broadcast.
@@ -240,7 +241,7 @@ func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, 
 // memberReduceSlice performs this rank's share of the intra-group
 // reduction at level pl (paper step 2a), blocking on the participants'
 // reduce_ready counters chunk by chunk.
-func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl, n, es int, dt mpi.Datatype, op mpi.Op, pc *phaseClock) {
+func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl, n, es int, dt mpi.Datatype, op mpi.Op, pc *obs.SegClock) {
 	gs, _ := st.groupOf(pl, p.Rank)
 	part := c.reducePartition(gs, n, es, c.Cfg.ReduceMinChunk)
 	slice := part[p.Rank]
@@ -248,7 +249,7 @@ func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl,
 	doneBase := view.redDoneBase(pl)
 	if s == e {
 		gs.redDone[p.Rank].Set(p.S, p.Core, doneBase)
-		pc.mark(pl, obs.PhaseReduceSlice, 0)
+		pc.Mark(pl, obs.PhaseReduceSlice, 0)
 		return
 	}
 	redBase := view.redCum[pl]
@@ -263,7 +264,7 @@ func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl,
 
 	// Attach the accumulator and every participant's contribution.
 	gs.accExpSeq.WaitGE(p.S, p.Core, view.opSeq)
-	pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+	pc.MarkFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 	accB := c.caches[p.Rank].Attach(p.S, gs.accExposed)
 	accOff := gs.accExposedOff
 	srcs := make(map[int]*mem.Buffer, len(gs.g.Members))
@@ -273,7 +274,7 @@ func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl,
 		srcs[m] = c.caches[p.Rank].Attach(p.S, h)
 		offs[m] = o
 	}
-	pc.mark(pl, obs.PhaseExpose, 0)
+	pc.Mark(pl, obs.PhaseExpose, 0)
 
 	var readyFlags []*shm.Flag
 	for _, m := range gs.g.Members {
@@ -282,13 +283,13 @@ func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl,
 	for cur := s; cur < e; {
 		step := min(chunk, e-cur)
 		shm.WaitAllGE(p.S, p.Core, readyFlags, redBase+uint64(cur+step))
-		pc.mark(pl, obs.PhaseFlagWait, 0)
+		pc.Mark(pl, obs.PhaseFlagWait, 0)
 		c.reduceChunk(p, gs, accB, accOff, srcs, offs, cur, step, dt, op)
 		cur += step
 		if !early {
 			gs.redDone[p.Rank].Set(p.S, p.Core, doneBase+uint64(cur-s))
 		}
-		pc.mark(pl, obs.PhaseReduceSlice, int64(step))
+		pc.Mark(pl, obs.PhaseReduceSlice, int64(step))
 	}
 }
 
@@ -316,14 +317,14 @@ func (c *Comm) reduceChunk(p *env.Proc, gs *groupState, acc *mem.Buffer, accOff 
 
 // bcastPull is the broadcast-phase receive of a pure member: wait for the
 // parent's counter, copy available chunks into rbuf.
-func (c *Comm) bcastPull(p *env.Proc, st *commState, view *rankView, rbuf *mem.Buffer, n int, after func(copied int), pc *phaseClock) {
+func (c *Comm) bcastPull(p *env.Proc, st *commState, view *rankView, rbuf *mem.Buffer, n int, after func(copied int), pc *obs.SegClock) {
 	pl := st.pullLevel(p.Rank)
 	gs, _ := st.groupOf(pl, p.Rank)
 	gs.expSeq.WaitGE(p.S, p.Core, view.opSeq)
-	pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+	pc.MarkFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 	src := c.caches[p.Rank].Attach(p.S, gs.exposed)
 	soff := gs.exposedOff
-	pc.mark(pl, obs.PhaseExpose, 0)
+	pc.Mark(pl, obs.PhaseExpose, 0)
 	base := view.cumBytes[pl]
 	chunk := c.chunkAt(pl)
 	copied := 0
@@ -333,7 +334,7 @@ func (c *Comm) bcastPull(p *env.Proc, st *commState, view *rankView, rbuf *mem.B
 		if avail > n {
 			avail = n
 		}
-		pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+		pc.MarkFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 		before := copied
 		for copied < avail {
 			take := min(chunk, avail-copied)
@@ -343,10 +344,10 @@ func (c *Comm) bcastPull(p *env.Proc, st *commState, view *rankView, rbuf *mem.B
 				after(copied)
 			}
 		}
-		pc.mark(pl, obs.PhaseChunkCopy, int64(copied-before))
+		pc.Mark(pl, obs.PhaseChunkCopy, int64(copied-before))
 	}
 	c.caches[p.Rank].Release(p.S, gs.exposed)
-	pc.mark(pl, obs.PhaseExpose, 0)
+	pc.Mark(pl, obs.PhaseExpose, 0)
 	c.recordPull(gs.leader, p.Rank, n)
 }
 
@@ -355,7 +356,7 @@ func (c *Comm) bcastPull(p *env.Proc, st *commState, view *rankView, rbuf *mem.B
 // its own reduce_ready upward (step 2b), its own reduction slice at its
 // pull level, triggering/forwarding the broadcast (step 3) — in a polling
 // loop, the way the paper describes leaders operating.
-func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n, es int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, lead []int, pl int, pc *phaseClock) {
+func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n, es int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, lead []int, pl int, pc *obs.SegClock) {
 	type monitorState struct {
 		gs        *groupState
 		part      map[int][2]int
@@ -625,11 +626,11 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 		if pc != nil {
 			switch {
 			case reducedIter > 0:
-				pc.mark(pl, obs.PhaseReduceSlice, int64(reducedIter))
+				pc.Mark(pl, obs.PhaseReduceSlice, int64(reducedIter))
 			case copiedIter > 0:
-				pc.mark(pl, obs.PhaseChunkCopy, int64(copiedIter))
+				pc.Mark(pl, obs.PhaseChunkCopy, int64(copiedIter))
 			default:
-				pc.mark(-1, obs.PhaseFlagWait, 0)
+				pc.Mark(-1, obs.PhaseFlagWait, 0)
 			}
 		}
 		if done {
@@ -637,7 +638,7 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 		}
 		if !progressed {
 			p.S.Sleep(poll)
-			pc.mark(-1, obs.PhaseFlagWait, 0)
+			pc.Mark(-1, obs.PhaseFlagWait, 0)
 		}
 	}
 	_ = bcastExposed
@@ -654,7 +655,7 @@ func (gs *groupState) readyValue(p *env.Proc) uint64 {
 
 // cicoAllreduce is the small-message path: contributions staged in the
 // per-rank CICO buffers, one reducer per group, CICO broadcast back.
-func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *phaseClock) {
+func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *obs.SegClock) {
 	lead := st.leadLevels(p.Rank)
 	pl := st.pullLevel(p.Rank)
 	slot := int(view.opSeq) % 2 * (c.Cfg.CICOBytes / 2)
@@ -664,7 +665,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 	p.Copy(c.cico[p.Rank], slot, sbuf, 0, n)
 	gs0, _ := st.groupOf(0, p.Rank)
 	gs0.redReady[p.Rank].Set(p.S, p.Core, view.redCum[0]+uint64(n))
-	pc.mark(0, obs.PhaseChunkCopy, int64(n))
+	pc.Mark(0, obs.PhaseChunkCopy, int64(n))
 
 	// Bottom-up: monitor led groups (wait for every active reducer's
 	// slice), then publish upward; do own reduction duty at the pull level.
@@ -685,7 +686,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 			}
 		}
 		shm.WaitAllTargets(p.S, p.Core, doneFlags, doneTargets)
-		pc.mark(l, obs.PhaseFlagWait, 0)
+		pc.Mark(l, obs.PhaseFlagWait, 0)
 		// This group's result now sits in this leader's CICO slot; it is
 		// the leader's contribution one level up.
 		if l+1 < st.h.NLevels() {
@@ -712,7 +713,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 				readyFlags = append(readyFlags, gs.redReady[m])
 			}
 			shm.WaitAllGE(p.S, p.Core, readyFlags, view.redCum[pl]+uint64(n))
-			pc.mark(pl, obs.PhaseFlagWait, 0)
+			pc.Mark(pl, obs.PhaseFlagWait, 0)
 			dst := c.cico[gs.leader]
 			for _, m := range gs.g.Members {
 				if m == gs.leader {
@@ -727,7 +728,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 			if !early {
 				gs.redDone[p.Rank].Set(p.S, p.Core, view.redDoneBase(pl)+uint64(e0-s0))
 			}
-			pc.mark(pl, obs.PhaseReduceSlice, int64(e0-s0))
+			pc.Mark(pl, obs.PhaseReduceSlice, int64(e0-s0))
 		}
 	}
 
@@ -735,7 +736,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 		// Reduce: the root drains its CICO accumulator into rbuf.
 		if p.Rank == root {
 			p.Copy(rbuf, 0, c.cico[p.Rank], slot, n)
-			pc.mark(-1, obs.PhaseChunkCopy, int64(n))
+			pc.Mark(-1, obs.PhaseChunkCopy, int64(n))
 		}
 		return
 	}
@@ -747,12 +748,12 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 			gs, _ := st.groupOf(l, p.Rank)
 			c.setReady(p, gs, view.cumBytes[l]+uint64(n))
 		}
-		pc.mark(-1, obs.PhaseChunkCopy, int64(n))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(n))
 	} else {
 		gs, _ := st.groupOf(pl, p.Rank)
 		base := view.cumBytes[pl]
 		c.waitReady(p, gs, base+uint64(n))
-		pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+		pc.MarkFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 		src := c.cico[gs.leader]
 		p.Copy(rbuf, 0, src, slot, n)
 		if len(lead) > 0 {
@@ -762,7 +763,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 				c.setReady(p, lgs, view.cumBytes[l]+uint64(n))
 			}
 		}
-		pc.mark(pl, obs.PhaseChunkCopy, int64(n))
+		pc.Mark(pl, obs.PhaseChunkCopy, int64(n))
 		c.recordPull(gs.leader, p.Rank, n)
 	}
 }
@@ -771,7 +772,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 // the ack flags, release propagates down via the ready counters.
 func (c *Comm) Barrier(p *env.Proc) {
 	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqBarrier, nil, nil, 0, 0, 0, 0, 0))
+		c.issueBlocking(p, c.buildReq(p.Rank, proto.Barrier, nil, nil, 0, 0, 0, 0, 0))
 		return
 	}
 	c.barrier(p)
@@ -784,7 +785,7 @@ func (c *Comm) barrier(p *env.Proc) {
 	if p.Rank == 0 {
 		c.Ops++
 	}
-	pc := c.newPhaseClock(p, obs.OpBarrier, view.opSeq, 0, st.h.NLevels())
+	pc := c.clocks.Begin(p.Rank, p.Core, obs.OpBarrier, view.opSeq, 0, st.h.NLevels())
 
 	// Gather: each rank signals arrival at its pull group; leaders wait
 	// for their members bottom-up before signalling their own arrival.
@@ -831,6 +832,6 @@ func (c *Comm) barrier(p *env.Proc) {
 	for l := range view.cumBytes {
 		view.cumBytes[l]++
 	}
-	pc.mark(-1, obs.PhaseFlagWait, 0)
-	pc.finish()
+	pc.Mark(-1, obs.PhaseFlagWait, 0)
+	pc.Finish()
 }

@@ -4,6 +4,7 @@ import (
 	"xhc/internal/env"
 	"xhc/internal/mem"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/shm"
 	"xhc/internal/xpmem"
 )
@@ -17,7 +18,7 @@ import (
 // diverted through the request queue to run in issue order behind them.
 func (c *Comm) Bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
 	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqBcast, buf, nil, off, n, root, 0, 0))
+		c.issueBlocking(p, c.buildReq(p.Rank, proto.Bcast, buf, nil, off, n, root, 0, 0))
 		return
 	}
 	c.bcast(p, buf, off, n, root)
@@ -31,7 +32,7 @@ func (c *Comm) bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
 	if p.Rank == 0 {
 		c.Ops++
 	}
-	pc := c.newPhaseClock(p, obs.OpBcast, view.opSeq, int64(n), st.h.NLevels())
+	pc := c.clocks.Begin(p.Rank, p.Core, obs.OpBcast, view.opSeq, int64(n), st.h.NLevels())
 	switch {
 	case n == 0:
 		c.ackPhase(p, st, view, pc)
@@ -40,11 +41,11 @@ func (c *Comm) bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
 	default:
 		c.xpmemBcast(p, st, view, buf, off, n, root, pc)
 	}
-	pc.finish()
+	pc.Finish()
 }
 
 // xpmemBcast is the single-copy path.
-func (c *Comm) xpmemBcast(p *env.Proc, st *commState, view *rankView, buf *mem.Buffer, off, n, root int, pc *phaseClock) {
+func (c *Comm) xpmemBcast(p *env.Proc, st *commState, view *rankView, buf *mem.Buffer, off, n, root int, pc *obs.SegClock) {
 	lead := st.leadLevels(p.Rank)
 	pl := st.pullLevel(p.Rank)
 
@@ -56,7 +57,7 @@ func (c *Comm) xpmemBcast(p *env.Proc, st *commState, view *rankView, buf *mem.B
 		gs.exposedOff = off
 		gs.expSeq.Set(p.S, p.Core, view.opSeq)
 	}
-	pc.mark(-1, obs.PhaseExpose, 0)
+	pc.Mark(-1, obs.PhaseExpose, 0)
 
 	if p.Rank == root {
 		// The root's data is fully available from the start.
@@ -64,15 +65,15 @@ func (c *Comm) xpmemBcast(p *env.Proc, st *commState, view *rankView, buf *mem.B
 			gs, _ := st.groupOf(l, p.Rank)
 			c.setReady(p, gs, view.cumBytes[l]+uint64(n))
 		}
-		pc.mark(-1, obs.PhaseChunkCopy, int64(n))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(n))
 	} else {
 		gs, _ := st.groupOf(pl, p.Rank)
 		// Wait for this op's exposure, then attach (registration cached).
 		gs.expSeq.WaitGE(p.S, p.Core, view.opSeq)
-		pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+		pc.MarkFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 		src := c.caches[p.Rank].Attach(p.S, gs.exposed)
 		soff := gs.exposedOff
-		pc.mark(pl, obs.PhaseExpose, 0)
+		pc.Mark(pl, obs.PhaseExpose, 0)
 		base := view.cumBytes[pl]
 		chunk := c.chunkAt(pl)
 		early := c.chaos().EarlyReady
@@ -83,7 +84,7 @@ func (c *Comm) xpmemBcast(p *env.Proc, st *commState, view *rankView, buf *mem.B
 			if avail > n {
 				avail = n
 			}
-			pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+			pc.MarkFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 			before := copied
 			// Copy chunk by chunk (not everything available at once): the
 			// chunk granule is what lets children overlap with this rank's
@@ -106,10 +107,10 @@ func (c *Comm) xpmemBcast(p *env.Proc, st *commState, view *rankView, buf *mem.B
 					}
 				}
 			}
-			pc.mark(pl, obs.PhaseChunkCopy, int64(copied-before))
+			pc.Mark(pl, obs.PhaseChunkCopy, int64(copied-before))
 		}
 		c.caches[p.Rank].Release(p.S, gs.exposed)
-		pc.mark(pl, obs.PhaseExpose, 0)
+		pc.Mark(pl, obs.PhaseExpose, 0)
 		c.recordPull(gs.leader, p.Rank, n)
 	}
 
@@ -122,7 +123,7 @@ func (c *Comm) xpmemBcast(p *env.Proc, st *commState, view *rankView, buf *mem.B
 // cicoBcast is the small-message copy-in-copy-out path: the same
 // algorithm, with the leaders' CICO buffers in place of attached user
 // buffers (paper Section IV-C).
-func (c *Comm) cicoBcast(p *env.Proc, st *commState, view *rankView, buf *mem.Buffer, off, n, root int, pc *phaseClock) {
+func (c *Comm) cicoBcast(p *env.Proc, st *commState, view *rankView, buf *mem.Buffer, off, n, root int, pc *obs.SegClock) {
 	lead := st.leadLevels(p.Rank)
 	pl := st.pullLevel(p.Rank)
 	slot := int(view.opSeq) % 2 * (c.Cfg.CICOBytes / 2) // double-buffered slots
@@ -151,12 +152,12 @@ func (c *Comm) cicoBcast(p *env.Proc, st *commState, view *rankView, buf *mem.Bu
 		if !early {
 			announce()
 		}
-		pc.mark(-1, obs.PhaseChunkCopy, int64(n))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(n))
 	} else {
 		gs, _ := st.groupOf(pl, p.Rank)
 		base := view.cumBytes[pl]
 		c.waitReady(p, gs, base+uint64(n))
-		pc.mark(pl, obs.PhaseFlagWait, 0)
+		pc.Mark(pl, obs.PhaseFlagWait, 0)
 		src := c.cico[gs.leader]
 		if early && len(lead) > 0 {
 			// Mutation: a forwarding leader announces its staged copy
@@ -173,7 +174,7 @@ func (c *Comm) cicoBcast(p *env.Proc, st *commState, view *rankView, buf *mem.Bu
 				announce()
 			}
 		}
-		pc.mark(pl, obs.PhaseChunkCopy, int64(n))
+		pc.Mark(pl, obs.PhaseChunkCopy, int64(n))
 		c.recordPull(gs.leader, p.Rank, n)
 	}
 
@@ -187,7 +188,7 @@ func (c *Comm) cicoBcast(p *env.Proc, st *commState, view *rankView, buf *mem.Bu
 // op complete at the group it pulls in; leaders wait for their members
 // before returning, guaranteeing their buffers and control structures are
 // no longer in use (paper Section IV-A, finalization).
-func (c *Comm) ackPhase(p *env.Proc, st *commState, view *rankView, pc *phaseClock) {
+func (c *Comm) ackPhase(p *env.Proc, st *commState, view *rankView, pc *obs.SegClock) {
 	// Leaders collect their led groups bottom-up BEFORE publishing their own
 	// ack: an ack therefore certifies the rank's whole subtree is done. That
 	// subtree ordering is what lets a rank whose buffer is attached from
@@ -218,12 +219,5 @@ func (c *Comm) ackPhase(p *env.Proc, st *commState, view *rankView, pc *phaseClo
 			gs.acks[p.Rank].Set(p.S, p.Core, view.opSeq)
 		}
 	}
-	pc.mark(-1, obs.PhaseAck, 0)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	pc.Mark(-1, obs.PhaseAck, 0)
 }

@@ -1,5 +1,7 @@
 package core
 
+import "xhc/internal/proto"
+
 // ChaosConfig seeds deliberate protocol bugs for the verify harness's
 // mutation self-test (DESIGN.md Section 10). Each field reintroduces one
 // bug class that the XHC design rules out; internal/verify asserts that
@@ -33,25 +35,9 @@ type ChaosConfig struct {
 	// the non-monotone store; caught as an engine failure.
 	AckRegression bool
 
-	// LostProgress makes the per-rank request helper drop a finished
-	// non-blocking op on the floor: the body runs, but completion is never
-	// published, so Test never reports done and Wait suspends forever —
-	// the classic missing-progress bug. Caught by the engine's deadlock
-	// detector.
-	LostProgress bool
-
-	// EarlyComplete publishes a non-blocking request's completion without
-	// running the collective body at all — completion visible before the
-	// data is. Every rank skips uniformly (no cross-rank hang), so the
-	// caller's byte check deterministically sees its stale junk fill.
-	// Caught by the per-request byte-exactness invariant.
-	EarlyComplete bool
-
-	// FuseCorrupt makes the fused-broadcast root swap the first two sub-op
-	// slots of the staging buffer after staging a batch, corrupting the
-	// fusion boundaries whenever a batch of at least two ops forms. Caught
-	// by byte-exactness.
-	FuseCorrupt bool
+	// Mutants carries the request-layer bugs shared with gxhc
+	// (LostProgress, EarlyComplete, FuseCorrupt).
+	proto.Mutants
 
 	// MidOpTune applies a tuning plan in the middle of an operation — the
 	// exact bug ApplyTuning's barrier sandwich exists to prevent. On the

@@ -95,34 +95,26 @@ func (cc *ClusterComm) ensureNIC(node, n int) *nicBuf {
 	return nb
 }
 
-// netClock starts a network-level phase clock for one leader fabric op:
-// the same segment-clock machinery as the intra-node collectives, but
-// committing through RecordNet under the node's own netSeq stream. The
-// leader's Comm phase-clock slot is free here — fabric work runs strictly
-// outside the intra-node ops on the same proc — so the slot is reused and
-// the path stays allocation-free. Returns nil (a no-op clock) unobserved.
-func (cc *ClusterComm) netClock(p *env.Proc, node int, op obs.OpCode, bytes int64) *phaseClock {
+// netClock starts a network-level segment clock for one leader fabric op:
+// the same machinery as the intra-node collectives, but committing through
+// RecordNet under the node's own netSeq stream. The leader's Comm clock
+// slot is free here — fabric work runs strictly outside the intra-node ops
+// on the same proc — so the slot is reused and the path stays
+// allocation-free. Returns nil (a no-op clock) unobserved.
+func (cc *ClusterComm) netClock(p *env.Proc, node int, op obs.OpCode, bytes int64) *obs.SegClock {
 	c := cc.Node[node]
-	if c.pcs == nil {
+	if c.clocks == nil {
 		return nil
 	}
 	cc.netSeq[node]++
-	pc := &c.pcs[p.Rank]
-	now := c.obsClock()
-	*pc = phaseClock{
-		t: c.Trace, rec: c.rec, clk: c.obsClock,
-		lane: p.Core, rank: int32(p.Rank), op: op, seq: cc.netSeq[node],
-		bytes: bytes, net: true,
-		start: now, last: now,
-	}
-	return pc
+	return c.clocks.BeginNet(p.Rank, p.Core, op, cc.netSeq[node], bytes)
 }
 
 // fabricBcast runs the network-level binomial broadcast among node
 // leaders: receive n bytes into the NIC staging region from the parent,
 // copy them into buf (the single intra-node copy), then relay buf to the
 // children largest-subtree-first. Called by node leaders only.
-func (cc *ClusterComm) fabricBcast(p *env.Proc, node, rootNode int, buf *mem.Buffer, off, n int, pc *phaseClock) {
+func (cc *ClusterComm) fabricBcast(p *env.Proc, node, rootNode int, buf *mem.Buffer, off, n int, pc *obs.SegClock) {
 	nn := cc.CW.Cl.Nodes
 	rel := (node - rootNode + nn) % nn
 	mask := 1
@@ -131,10 +123,10 @@ func (cc *ClusterComm) fabricBcast(p *env.Proc, node, rootNode int, buf *mem.Buf
 			parent := (rel - mask + rootNode) % nn
 			nb := cc.ensureNIC(node, n)
 			cc.CW.Recv(p, node, parent, nb.rx, 0, n)
-			pc.mark(-1, obs.PhaseFabric, int64(n))
+			pc.Mark(-1, obs.PhaseFabric, int64(n))
 			if n > 0 {
 				p.Copy(buf, off, nb.rx, 0, n)
-				pc.mark(-1, obs.PhaseNICStage, int64(n))
+				pc.Mark(-1, obs.PhaseNICStage, int64(n))
 			}
 			break
 		}
@@ -148,10 +140,10 @@ func (cc *ClusterComm) fabricBcast(p *env.Proc, node, rootNode int, buf *mem.Buf
 			if n > 0 && !staged {
 				p.Copy(nb.tx, 0, buf, off, n)
 				staged = true
-				pc.mark(-1, obs.PhaseNICStage, int64(n))
+				pc.Mark(-1, obs.PhaseNICStage, int64(n))
 			}
 			cc.CW.Send(p, node, child, nb.tx, 0, n)
-			pc.mark(-1, obs.PhaseFabric, int64(n))
+			pc.Mark(-1, obs.PhaseFabric, int64(n))
 		}
 	}
 }
@@ -160,7 +152,7 @@ func (cc *ClusterComm) fabricBcast(p *env.Proc, node, rootNode int, buf *mem.Buf
 // node 0's leader: receive children's partials into the NIC staging
 // region, fold them into acc with the real reduction kernel, then forward
 // the partial to the parent. Called by node leaders only.
-func (cc *ClusterComm) fabricReduce(p *env.Proc, node int, acc *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, pc *phaseClock) {
+func (cc *ClusterComm) fabricReduce(p *env.Proc, node int, acc *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, pc *obs.SegClock) {
 	nn := cc.CW.Cl.Nodes
 	rel := node
 	mask := 1
@@ -170,13 +162,13 @@ func (cc *ClusterComm) fabricReduce(p *env.Proc, node int, acc *mem.Buffer, n in
 			if src < nn {
 				nb := cc.ensureNIC(node, n)
 				cc.CW.Recv(p, node, src, nb.rx, 0, n)
-				pc.mark(-1, obs.PhaseFabric, int64(n))
+				pc.Mark(-1, obs.PhaseFabric, int64(n))
 				if n > 0 {
 					p.ChargeRead(nb.rx, 0, n)
 					p.ChargeCompute(n)
 					mpi.ReduceBytes(op, dt, acc.Data[:n], nb.rx.Data[:n])
 					p.Dirty(acc)
-					pc.mark(-1, obs.PhaseReduceSlice, int64(n))
+					pc.Mark(-1, obs.PhaseReduceSlice, int64(n))
 				}
 			}
 		} else {
@@ -184,10 +176,10 @@ func (cc *ClusterComm) fabricReduce(p *env.Proc, node int, acc *mem.Buffer, n in
 			nb := cc.ensureNIC(node, n)
 			if n > 0 {
 				p.Copy(nb.tx, 0, acc, 0, n)
-				pc.mark(-1, obs.PhaseNICStage, int64(n))
+				pc.Mark(-1, obs.PhaseNICStage, int64(n))
 			}
 			cc.CW.Send(p, node, parent, nb.tx, 0, n)
-			pc.mark(-1, obs.PhaseFabric, int64(n))
+			pc.Mark(-1, obs.PhaseFabric, int64(n))
 			break
 		}
 		mask <<= 1
@@ -196,7 +188,7 @@ func (cc *ClusterComm) fabricReduce(p *env.Proc, node int, acc *mem.Buffer, n in
 
 // fabricBarrier is a zero-payload gather to node 0 plus a release
 // broadcast — the network-level barrier among node leaders.
-func (cc *ClusterComm) fabricBarrier(p *env.Proc, node int, pc *phaseClock) {
+func (cc *ClusterComm) fabricBarrier(p *env.Proc, node int, pc *obs.SegClock) {
 	nn := cc.CW.Cl.Nodes
 	rel := node
 	mask := 1
@@ -205,11 +197,11 @@ func (cc *ClusterComm) fabricBarrier(p *env.Proc, node int, pc *phaseClock) {
 			src := rel | mask
 			if src < nn {
 				cc.CW.Recv(p, node, src, nil, 0, 0)
-				pc.mark(-1, obs.PhaseFabric, 0)
+				pc.Mark(-1, obs.PhaseFabric, 0)
 			}
 		} else {
 			cc.CW.Send(p, node, rel&^mask, nil, 0, 0)
-			pc.mark(-1, obs.PhaseFabric, 0)
+			pc.Mark(-1, obs.PhaseFabric, 0)
 			break
 		}
 		mask <<= 1
@@ -225,7 +217,7 @@ func (cc *ClusterComm) Bcast(p *env.Proc, node int, buf *mem.Buffer, off, n, roo
 	if cc.CW.Cl.Nodes > 1 && n > 0 && p.Rank == lr {
 		pc := cc.netClock(p, node, obs.OpBcast, int64(n))
 		cc.fabricBcast(p, node, root/cc.CW.PerNode, buf, off, n, pc)
-		pc.finish()
+		pc.Finish()
 	}
 	cc.Node[node].Bcast(p, buf, off, n, lr)
 }
@@ -244,7 +236,7 @@ func (cc *ClusterComm) Allreduce(p *env.Proc, node int, sbuf, rbuf *mem.Buffer, 
 		pc := cc.netClock(p, node, obs.OpAllreduce, int64(n))
 		cc.fabricReduce(p, node, rbuf, n, dt, op, pc)
 		cc.fabricBcast(p, node, 0, rbuf, 0, n, pc)
-		pc.finish()
+		pc.Finish()
 	}
 	cc.Node[node].Bcast(p, rbuf, 0, n, 0)
 }
@@ -281,25 +273,25 @@ func (cc *ClusterComm) Reduce(p *env.Proc, node int, sbuf, rbuf *mem.Buffer, n i
 				if src < nn {
 					nb := cc.ensureNIC(node, n)
 					cc.CW.Recv(p, node, (src+rootNode)%nn, nb.rx, 0, n)
-					pc.mark(-1, obs.PhaseFabric, int64(n))
+					pc.Mark(-1, obs.PhaseFabric, int64(n))
 					p.ChargeRead(nb.rx, 0, n)
 					p.ChargeCompute(n)
 					mpi.ReduceBytes(op, dt, acc.Data[:n], nb.rx.Data[:n])
 					p.Dirty(acc)
-					pc.mark(-1, obs.PhaseReduceSlice, int64(n))
+					pc.Mark(-1, obs.PhaseReduceSlice, int64(n))
 				}
 			} else {
 				parent := (rel&^mask + rootNode) % nn
 				nb := cc.ensureNIC(node, n)
 				p.Copy(nb.tx, 0, acc, 0, n)
-				pc.mark(-1, obs.PhaseNICStage, int64(n))
+				pc.Mark(-1, obs.PhaseNICStage, int64(n))
 				cc.CW.Send(p, node, parent, nb.tx, 0, n)
-				pc.mark(-1, obs.PhaseFabric, int64(n))
+				pc.Mark(-1, obs.PhaseFabric, int64(n))
 				break
 			}
 			mask <<= 1
 		}
-		pc.finish()
+		pc.Finish()
 	}
 }
 
@@ -324,7 +316,7 @@ func (cc *ClusterComm) Barrier(p *env.Proc, node int) {
 	if cc.CW.Cl.Nodes > 1 && p.Rank == 0 {
 		pc := cc.netClock(p, node, obs.OpBarrier, 0)
 		cc.fabricBarrier(p, node, pc)
-		pc.finish()
+		pc.Finish()
 	}
 	cc.Node[node].Barrier(p)
 }

@@ -126,19 +126,19 @@ type Comm struct {
 
 	// Trace records per-rank phase spans when the world is observed with
 	// tracing enabled; nil otherwise. Everything that consults it does so
-	// through nil-checked helpers (phaseClock), so the disabled path costs
+	// through nil-checked helpers (obs.SegClock), so the disabled path costs
 	// one pointer comparison per operation.
 	Trace *obs.Tracer
 	// obsPull mirrors OnPull for the observability registry. It is a
 	// separate hook so experiments that install their own OnPull collector
 	// after construction don't silence registry accounting (and vice versa).
 	obsPull func(from, to, bytes int)
-	// rec/obsClock/pcs back the always-on flight recorder: one pooled
-	// phaseClock per rank (each rank runs one op at a time) feeding the
-	// world's OpRecorder. All nil/empty when the world is unobserved.
+	// rec/obsClock/clocks back the always-on flight recorder: one pooled
+	// segment clock per rank (each rank runs one op at a time) feeding the
+	// world's OpRecorder. All nil when the world is unobserved.
 	rec      *obs.OpRecorder
 	obsClock func() int64
-	pcs      []phaseClock
+	clocks   *obs.SegClocks
 
 	scratch []*mem.Buffer              // per-rank internal accumulators for Reduce
 	agFlags map[*commState][]*shm.Flag // allgather push-completion flags
@@ -222,7 +222,7 @@ func New(w *env.World, cfg Config) (*Comm, error) {
 		c.obsPull = w.Obs.RecordPull
 		c.rec = w.Obs.Rec
 		c.obsClock = w.Obs.Rec.Now
-		c.pcs = make([]phaseClock, w.N)
+		c.clocks = obs.NewSegClocks(c.Trace, c.rec, c.obsClock, w.N)
 		if c.chaos() != (ChaosConfig{}) {
 			c.rec.CountFault(obs.FaultChaos)
 		}

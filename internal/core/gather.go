@@ -4,6 +4,7 @@ import (
 	"xhc/internal/env"
 	"xhc/internal/mem"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/shm"
 	"xhc/internal/xpmem"
 )
@@ -22,7 +23,7 @@ import (
 // memory model.
 func (c *Comm) Scatter(p *env.Proc, buf *mem.Buffer, out *mem.Buffer, blockLen, root int) {
 	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqScatter, buf, out, 0, blockLen, root, 0, 0))
+		c.issueBlocking(p, c.buildReq(p.Rank, proto.Scatter, buf, out, 0, blockLen, root, 0, 0))
 		return
 	}
 	c.scatter(p, buf, out, blockLen, root)
@@ -35,16 +36,16 @@ func (c *Comm) scatter(p *env.Proc, buf *mem.Buffer, out *mem.Buffer, blockLen, 
 	if p.Rank == 0 {
 		c.Ops++
 	}
-	pc := c.newPhaseClock(p, obs.OpScatter, view.opSeq, int64(blockLen), st.h.NLevels())
+	pc := c.clocks.Begin(p.Rank, p.Core, obs.OpScatter, view.opSeq, int64(blockLen), st.h.NLevels())
 	if blockLen == 0 {
 		c.ackPhase(p, st, view, pc)
-		pc.finish()
+		pc.Finish()
 		return
 	}
 	if blockLen <= c.Cfg.CICOThreshold && blockLen*c.W.N <= c.Cfg.CICOBytes/2 {
 		c.cicoScatter(p, st, view, buf, out, blockLen, root, pc)
 		c.ackPhase(p, st, view, pc)
-		pc.finish()
+		pc.Finish()
 		return
 	}
 	gs := st.groups[st.h.NLevels()-1][0] // top group carries the exposure
@@ -53,23 +54,23 @@ func (c *Comm) scatter(p *env.Proc, buf *mem.Buffer, out *mem.Buffer, blockLen, 
 		gs.exposed = xpmem.Expose(buf)
 		gs.exposedOff = 0
 		gs.expSeq.Set(p.S, p.Core, view.opSeq)
-		pc.mark(-1, obs.PhaseExpose, 0)
+		pc.Mark(-1, obs.PhaseExpose, 0)
 		p.Copy(out, 0, buf, blockLen*root, blockLen)
-		pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 	} else {
 		sizeCheck(out, 0, blockLen)
 		gs.expSeq.WaitGE(p.S, p.Core, view.opSeq)
-		pc.markFrom(-1, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+		pc.MarkFrom(-1, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 		src := c.caches[p.Rank].Attach(p.S, gs.exposed)
-		pc.mark(-1, obs.PhaseExpose, 0)
+		pc.Mark(-1, obs.PhaseExpose, 0)
 		p.Copy(out, 0, src, gs.exposedOff+blockLen*p.Rank, blockLen)
-		pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 		c.caches[p.Rank].Release(p.S, gs.exposed)
-		pc.mark(-1, obs.PhaseExpose, 0)
+		pc.Mark(-1, obs.PhaseExpose, 0)
 		c.recordPull(root, p.Rank, blockLen)
 	}
 	c.ackPhase(p, st, view, pc)
-	pc.finish()
+	pc.Finish()
 }
 
 // cicoScatter is the small-block copy-in-copy-out path: the root stages all
@@ -77,7 +78,7 @@ func (c *Comm) scatter(p *env.Proc, buf *mem.Buffer, out *mem.Buffer, blockLen, 
 // construction), announces via the top group's exposure sequence, and every
 // rank copies out exactly its own block — no attach/expose round-trips for
 // latency-bound sizes (paper Section IV-C).
-func (c *Comm) cicoScatter(p *env.Proc, st *commState, view *rankView, buf *mem.Buffer, out *mem.Buffer, blockLen, root int, pc *phaseClock) {
+func (c *Comm) cicoScatter(p *env.Proc, st *commState, view *rankView, buf *mem.Buffer, out *mem.Buffer, blockLen, root int, pc *obs.SegClock) {
 	gs := st.groups[st.h.NLevels()-1][0]
 	slot := int(view.opSeq) % 2 * (c.Cfg.CICOBytes / 2) // double-buffered slots
 	if p.Rank == root {
@@ -91,13 +92,13 @@ func (c *Comm) cicoScatter(p *env.Proc, st *commState, view *rankView, buf *mem.
 			gs.expSeq.Set(p.S, p.Core, view.opSeq)
 		}
 		p.Copy(out, 0, buf, blockLen*root, blockLen)
-		pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen*c.W.N))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen*c.W.N))
 	} else {
 		sizeCheck(out, 0, blockLen)
 		gs.expSeq.WaitGE(p.S, p.Core, view.opSeq)
-		pc.markFrom(-1, obs.PhaseFlagWait, 0, c.W.Core(root))
+		pc.MarkFrom(-1, obs.PhaseFlagWait, 0, c.W.Core(root))
 		p.Copy(out, 0, c.cico[root], slot+blockLen*p.Rank, blockLen)
-		pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 		c.recordPull(root, p.Rank, blockLen)
 	}
 }
@@ -108,7 +109,7 @@ func (c *Comm) cicoScatter(p *env.Proc, st *commState, view *rankView, buf *mem.
 // disjoint block directly — the inverse of the broadcast pull.
 func (c *Comm) Gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, root int) {
 	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqGather, in, buf, 0, blockLen, root, 0, 0))
+		c.issueBlocking(p, c.buildReq(p.Rank, proto.Gather, in, buf, 0, blockLen, root, 0, 0))
 		return
 	}
 	c.gather(p, in, buf, blockLen, root)
@@ -121,10 +122,10 @@ func (c *Comm) gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, ro
 	if p.Rank == 0 {
 		c.Ops++
 	}
-	pc := c.newPhaseClock(p, obs.OpGather, view.opSeq, int64(blockLen), st.h.NLevels())
+	pc := c.clocks.Begin(p.Rank, p.Core, obs.OpGather, view.opSeq, int64(blockLen), st.h.NLevels())
 	if blockLen == 0 {
 		c.ackPhase(p, st, view, pc)
-		pc.finish()
+		pc.Finish()
 		return
 	}
 	gs := st.groups[st.h.NLevels()-1][0]
@@ -133,25 +134,25 @@ func (c *Comm) gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, ro
 		gs.accExposed = xpmem.Expose(buf)
 		gs.accExposedOff = 0
 		gs.accExpSeq.Set(p.S, p.Core, view.opSeq)
-		pc.mark(-1, obs.PhaseExpose, 0)
+		pc.Mark(-1, obs.PhaseExpose, 0)
 		p.Copy(buf, blockLen*root, in, 0, blockLen)
-		pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 	} else {
 		sizeCheck(in, 0, blockLen)
 		gs.accExpSeq.WaitGE(p.S, p.Core, view.opSeq)
-		pc.markFrom(-1, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+		pc.MarkFrom(-1, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 		dst := c.caches[p.Rank].Attach(p.S, gs.accExposed)
-		pc.mark(-1, obs.PhaseExpose, 0)
+		pc.Mark(-1, obs.PhaseExpose, 0)
 		p.Copy(dst, gs.accExposedOff+blockLen*p.Rank, in, 0, blockLen)
-		pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 		c.caches[p.Rank].Release(p.S, gs.accExposed)
-		pc.mark(-1, obs.PhaseExpose, 0)
+		pc.Mark(-1, obs.PhaseExpose, 0)
 		c.recordPull(p.Rank, root, blockLen)
 	}
 	// The ack phase doubles as the completion notification: the root's
 	// return is gated on every rank having pushed its block.
 	c.ackPhase(p, st, view, pc)
-	pc.finish()
+	pc.Finish()
 }
 
 // Allgather concatenates every rank's blockLen-byte in block into each
@@ -160,7 +161,7 @@ func (c *Comm) gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, ro
 // result is broadcast back down with the pipelined broadcast.
 func (c *Comm) Allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen int) {
 	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqAllgather, in, out, 0, blockLen, 0, 0, 0))
+		c.issueBlocking(p, c.buildReq(p.Rank, proto.Allgather, in, out, 0, blockLen, 0, 0, 0))
 		return
 	}
 	c.allgather(p, in, out, blockLen)
@@ -171,9 +172,9 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 		st := c.stateFor(0)
 		view := st.views[p.Rank]
 		view.opSeq++
-		pc := c.newPhaseClock(p, obs.OpAllgather, view.opSeq, 0, st.h.NLevels())
+		pc := c.clocks.Begin(p.Rank, p.Core, obs.OpAllgather, view.opSeq, 0, st.h.NLevels())
 		c.ackPhase(p, st, view, pc)
-		pc.finish()
+		pc.Finish()
 		return
 	}
 	n := blockLen * c.W.N
@@ -185,12 +186,12 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 	if p.Rank == 0 {
 		c.Ops++
 	}
-	pc := c.newPhaseClock(p, obs.OpAllgather, view.opSeq, int64(blockLen), st.h.NLevels())
+	pc := c.clocks.Begin(p.Rank, p.Core, obs.OpAllgather, view.opSeq, int64(blockLen), st.h.NLevels())
 
 	if blockLen <= c.Cfg.CICOThreshold && blockLen <= c.Cfg.CICOBytes/2 {
 		c.cicoAllgather(p, st, view, in, out, blockLen, pc)
 		c.ackPhase(p, st, view, pc)
-		pc.finish()
+		pc.Finish()
 		return
 	}
 
@@ -202,9 +203,9 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 		gs.accExposed = xpmem.Expose(out)
 		gs.accExposedOff = 0
 		gs.accExpSeq.Set(p.S, p.Core, view.opSeq)
-		pc.mark(-1, obs.PhaseExpose, 0)
+		pc.Mark(-1, obs.PhaseExpose, 0)
 		p.Copy(out, 0, in, 0, blockLen)
-		pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 		// Wait for all pushes (push counters reuse the redReady flags of
 		// the top group's members plus a shared arrival account below).
 		var flags []*shm.Flag
@@ -212,17 +213,17 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 			flags = append(flags, c.agDone(st, r))
 		}
 		shm.WaitAllGE(p.S, p.Core, flags, view.opSeq)
-		pc.mark(-1, obs.PhaseFlagWait, 0)
+		pc.Mark(-1, obs.PhaseFlagWait, 0)
 	} else {
 		gs.accExpSeq.WaitGE(p.S, p.Core, view.opSeq)
-		pc.mark(-1, obs.PhaseFlagWait, 0)
+		pc.Mark(-1, obs.PhaseFlagWait, 0)
 		dst := c.caches[p.Rank].Attach(p.S, gs.accExposed)
-		pc.mark(-1, obs.PhaseExpose, 0)
+		pc.Mark(-1, obs.PhaseExpose, 0)
 		p.Copy(dst, gs.accExposedOff+blockLen*p.Rank, in, 0, blockLen)
-		pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 		c.caches[p.Rank].Release(p.S, gs.accExposed)
 		c.agDone(st, p.Rank).Set(p.S, p.Core, view.opSeq)
-		pc.mark(-1, obs.PhaseExpose, 0)
+		pc.Mark(-1, obs.PhaseExpose, 0)
 	}
 
 	// Phase 2: hierarchical pipelined broadcast of the assembled vector.
@@ -232,7 +233,7 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 		view.cumBytes[l] += uint64(n)
 	}
 	c.ackPhase(p, st, view, pc)
-	pc.finish()
+	pc.Finish()
 }
 
 // cicoAllgather is the small-block copy-in-copy-out path: each rank stages
@@ -240,7 +241,7 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 // then assembles the full vector by copying every peer's staged block out —
 // all-to-all reads of disjoint staged lines, with the memory model charging
 // each pull's distance (paper Section IV-C applied to allgather).
-func (c *Comm) cicoAllgather(p *env.Proc, st *commState, view *rankView, in *mem.Buffer, out *mem.Buffer, blockLen int, pc *phaseClock) {
+func (c *Comm) cicoAllgather(p *env.Proc, st *commState, view *rankView, in *mem.Buffer, out *mem.Buffer, blockLen int, pc *obs.SegClock) {
 	slot := int(view.opSeq) % 2 * (c.Cfg.CICOBytes / 2) // double-buffered slots
 	if c.chaos().EarlyReady {
 		// Mutation: publish the push before the copy-in lands.
@@ -250,7 +251,7 @@ func (c *Comm) cicoAllgather(p *env.Proc, st *commState, view *rankView, in *mem
 	if !c.chaos().EarlyReady {
 		c.agDone(st, p.Rank).Set(p.S, p.Core, view.opSeq)
 	}
-	pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen))
+	pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 	for r := 0; r < c.W.N; r++ {
 		if r == p.Rank {
 			p.Copy(out, blockLen*r, in, 0, blockLen)
@@ -260,8 +261,8 @@ func (c *Comm) cicoAllgather(p *env.Proc, st *commState, view *rankView, in *mem
 		p.Copy(out, blockLen*r, c.cico[r], slot, blockLen)
 		c.recordPull(r, p.Rank, blockLen)
 	}
-	pc.mark(-1, obs.PhaseChunkCopy, int64(blockLen*(c.W.N-1)))
-	pc.mark(-1, obs.PhaseFlagWait, 0)
+	pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen*(c.W.N-1)))
+	pc.Mark(-1, obs.PhaseFlagWait, 0)
 }
 
 // agDone returns rank's allgather push-completion flag (lazily created at
@@ -284,7 +285,7 @@ func (c *Comm) agDone(st *commState, rank int) *shm.Flag {
 // bcastBody runs the data-movement part of the hierarchical broadcast for
 // an operation whose bookkeeping (opSeq, cum advance, acks) the caller
 // manages. Used by Allgather's distribution phase.
-func (c *Comm) bcastBody(p *env.Proc, st *commState, view *rankView, buf *mem.Buffer, off, n, root int, pc *phaseClock) {
+func (c *Comm) bcastBody(p *env.Proc, st *commState, view *rankView, buf *mem.Buffer, off, n, root int, pc *obs.SegClock) {
 	lead := st.leadLevels(p.Rank)
 	pl := st.pullLevel(p.Rank)
 	for _, l := range lead {
@@ -293,21 +294,21 @@ func (c *Comm) bcastBody(p *env.Proc, st *commState, view *rankView, buf *mem.Bu
 		gs.exposedOff = off
 		gs.expSeq.Set(p.S, p.Core, view.opSeq)
 	}
-	pc.mark(-1, obs.PhaseExpose, 0)
+	pc.Mark(-1, obs.PhaseExpose, 0)
 	if p.Rank == root {
 		for _, l := range lead {
 			gs, _ := st.groupOf(l, p.Rank)
 			c.setReady(p, gs, view.cumBytes[l]+uint64(n))
 		}
-		pc.mark(-1, obs.PhaseChunkCopy, int64(n))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(n))
 		return
 	}
 	gs, _ := st.groupOf(pl, p.Rank)
 	gs.expSeq.WaitGE(p.S, p.Core, view.opSeq)
-	pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+	pc.MarkFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 	src := c.caches[p.Rank].Attach(p.S, gs.exposed)
 	soff := gs.exposedOff
-	pc.mark(pl, obs.PhaseExpose, 0)
+	pc.Mark(pl, obs.PhaseExpose, 0)
 	base := view.cumBytes[pl]
 	chunk := c.chunkAt(pl)
 	copied := 0
@@ -317,7 +318,7 @@ func (c *Comm) bcastBody(p *env.Proc, st *commState, view *rankView, buf *mem.Bu
 		if avail > n {
 			avail = n
 		}
-		pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+		pc.MarkFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 		before := copied
 		for copied < avail {
 			take := min(chunk, avail-copied)
@@ -328,9 +329,9 @@ func (c *Comm) bcastBody(p *env.Proc, st *commState, view *rankView, buf *mem.Bu
 				c.setReady(p, lgs, view.cumBytes[l]+uint64(copied))
 			}
 		}
-		pc.mark(pl, obs.PhaseChunkCopy, int64(copied-before))
+		pc.Mark(pl, obs.PhaseChunkCopy, int64(copied-before))
 	}
 	c.caches[p.Rank].Release(p.S, gs.exposed)
-	pc.mark(pl, obs.PhaseExpose, 0)
+	pc.Mark(pl, obs.PhaseExpose, 0)
 	c.recordPull(gs.leader, p.Rank, n)
 }

@@ -7,6 +7,7 @@ import (
 	"xhc/internal/mem"
 	"xhc/internal/mpi"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/shm"
 	"xhc/internal/sim"
 	"xhc/internal/xpmem"
@@ -23,32 +24,13 @@ import (
 // Same-shape small broadcasts (n <= CICOThreshold, same root) queued
 // back-to-back are fused: the helper pops a whole prefix and runs one
 // hierarchy traversal that carries every sub-op in a per-rank staging
-// buffer (fusedBcast below). Fusability is decided per request from
-// rank-uniform facts only (kind, size, root, the comm's threshold), so all
-// ranks agree on each op's protocol even when their batch boundaries end
-// up ragged.
-
-// maxFuseBatch caps how many same-shape small broadcasts one hierarchy
-// traversal carries (and sizes the per-rank staging buffer).
-const maxFuseBatch = 8
+// buffer (fusedBcast below). The fusion and batch-join rules are shared
+// with gxhc (internal/proto).
 
 // testPoll is the virtual-time backoff Test takes when the request is not
 // yet done: a pure re-check would never return control to the engine, so
 // Test always advances the clock enough for helpers to run.
 const testPoll = 100 * sim.Nanosecond
-
-// reqKind dispatches a queued request to its blocking body.
-type reqKind uint8
-
-const (
-	reqBcast reqKind = iota
-	reqAllreduce
-	reqReduce
-	reqBarrier
-	reqAllgather
-	reqScatter
-	reqGather
-)
 
 // Request is a handle on one outstanding non-blocking collective. It is
 // owned by the issuing rank: only that rank may Test/Wait it, and a
@@ -59,20 +41,15 @@ const (
 type Request struct {
 	c    *Comm
 	rank int
-	kind reqKind
-	fuse bool
+	kind proto.Kind
+	meta proto.Req
 
 	buf  *mem.Buffer // primary buffer (bcast buf / sbuf / in)
 	buf2 *mem.Buffer // secondary buffer (rbuf / out)
 	off  int
 	n    int // payload bytes (block bytes for the v-collectives)
-	root int
 	dt   mpi.Datatype
 	op   mpi.Op
-
-	issued   int64 // obs clock at issue (0 when unobserved)
-	svcStart int64 // obs clock when the helper popped it (service start)
-	bytes    int64
 
 	done    bool
 	waiters []reqWaiter
@@ -111,8 +88,6 @@ func (c *Comm) getReq(rank int) *Request {
 	}
 	lane.free = r.next
 	r.next = nil
-	r.done = false
-	r.fuse = false
 	return r
 }
 
@@ -122,17 +97,18 @@ func (c *Comm) release(r *Request) {
 	r.buf, r.buf2 = nil, nil
 	r.waiters = r.waiters[:0]
 	r.done = false
+	r.meta = proto.Req{}
 	r.next = lane.free
 	lane.free = r
 }
 
 // buildReq fills a recycled request with one call's arguments.
-func (c *Comm) buildReq(rank int, kind reqKind, buf, buf2 *mem.Buffer, off, n, root int, dt mpi.Datatype, op mpi.Op) *Request {
+func (c *Comm) buildReq(rank int, kind proto.Kind, buf, buf2 *mem.Buffer, off, n, root int, dt mpi.Datatype, op mpi.Op) *Request {
 	r := c.getReq(rank)
 	r.kind, r.buf, r.buf2 = kind, buf, buf2
-	r.off, r.n, r.root = off, n, root
+	r.off, r.n = off, n
 	r.dt, r.op = dt, op
-	r.bytes = int64(n)
+	r.meta.Root, r.meta.Bytes = root, int64(n)
 	return r
 }
 
@@ -145,12 +121,7 @@ func (c *Comm) issue(p *env.Proc, r *Request) *Request {
 	lane := &c.nb[p.Rank]
 	lane.pending++
 	c.inflightCur++
-	if c.rec != nil {
-		c.rec.NoteInflight(c.inflightCur)
-	}
-	if c.obsClock != nil {
-		r.issued = c.obsClock()
-	}
+	r.meta.Issue(c.rec, c.obsClock, c.inflightCur)
 	lane.queue = append(lane.queue, r)
 	if !lane.active {
 		lane.active = true
@@ -174,40 +145,40 @@ func (c *Comm) issueBlocking(p *env.Proc, r *Request) {
 // Ibcast starts a non-blocking broadcast of buf[off:off+n] from root.
 func (c *Comm) Ibcast(p *env.Proc, buf *mem.Buffer, off, n, root int) *Request {
 	sizeCheck(buf, off, n)
-	r := c.buildReq(p.Rank, reqBcast, buf, nil, off, n, root, 0, 0)
-	r.fuse = n > 0 && n <= c.fuseMax
+	r := c.buildReq(p.Rank, proto.Bcast, buf, nil, off, n, root, 0, 0)
+	r.meta.Fuse = proto.Fusable(n, c.fuseMax)
 	return c.issue(p, r)
 }
 
 // Iallreduce starts a non-blocking allreduce of sbuf into rbuf.
 func (c *Comm) Iallreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op) *Request {
 	sizeCheck(sbuf, 0, n)
-	return c.issue(p, c.buildReq(p.Rank, reqAllreduce, sbuf, rbuf, 0, n, 0, dt, op))
+	return c.issue(p, c.buildReq(p.Rank, proto.Allreduce, sbuf, rbuf, 0, n, 0, dt, op))
 }
 
 // Ireduce starts a non-blocking reduce of sbuf into root's rbuf.
 func (c *Comm) Ireduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, root int) *Request {
 	sizeCheck(sbuf, 0, n)
-	return c.issue(p, c.buildReq(p.Rank, reqReduce, sbuf, rbuf, 0, n, root, dt, op))
+	return c.issue(p, c.buildReq(p.Rank, proto.Reduce, sbuf, rbuf, 0, n, root, dt, op))
 }
 
 // Ibarrier starts a non-blocking barrier.
 func (c *Comm) Ibarrier(p *env.Proc) *Request {
-	return c.issue(p, c.buildReq(p.Rank, reqBarrier, nil, nil, 0, 0, 0, 0, 0))
+	return c.issue(p, c.buildReq(p.Rank, proto.Barrier, nil, nil, 0, 0, 0, 0, 0))
 }
 
 // Iallgather starts a non-blocking allgather of blockLen-byte blocks.
 func (c *Comm) Iallgather(p *env.Proc, in, out *mem.Buffer, blockLen int) *Request {
 	sizeCheck(in, 0, blockLen)
 	sizeCheck(out, 0, blockLen*c.W.N)
-	return c.issue(p, c.buildReq(p.Rank, reqAllgather, in, out, 0, blockLen, 0, 0, 0))
+	return c.issue(p, c.buildReq(p.Rank, proto.Allgather, in, out, 0, blockLen, 0, 0, 0))
 }
 
 // Iscatter starts a non-blocking scatter of blockLen-byte blocks from
 // root's buf into each rank's out.
 func (c *Comm) Iscatter(p *env.Proc, buf, out *mem.Buffer, blockLen, root int) *Request {
 	sizeCheck(out, 0, blockLen)
-	return c.issue(p, c.buildReq(p.Rank, reqScatter, buf, out, 0, blockLen, root, 0, 0))
+	return c.issue(p, c.buildReq(p.Rank, proto.Scatter, buf, out, 0, blockLen, root, 0, 0))
 }
 
 // InFlight returns the number of currently outstanding requests on the
@@ -256,7 +227,7 @@ func Waitall(p *env.Proc, rs ...*Request) {
 // when the queue runs dry; the next issue respawns it.
 func (c *Comm) nbHelper(p *env.Proc) {
 	lane := &c.nb[p.Rank]
-	var batch [maxFuseBatch]*Request
+	var batch [proto.MaxFuseBatch]*Request
 	for {
 		if lane.head == len(lane.queue) {
 			lane.queue = lane.queue[:0]
@@ -265,10 +236,8 @@ func (c *Comm) nbHelper(p *env.Proc) {
 			return
 		}
 		r := lane.queue[lane.head]
-		if c.obsClock != nil {
-			r.svcStart = c.obsClock()
-		}
-		if !r.fuse {
+		r.meta.StampService(c.obsClock)
+		if !r.meta.Fuse {
 			lane.head++
 			if !c.chaos().EarlyComplete {
 				c.execReq(p, r)
@@ -277,46 +246,37 @@ func (c *Comm) nbHelper(p *env.Proc) {
 			continue
 		}
 		k := 0
-		for lane.head < len(lane.queue) && k < maxFuseBatch {
+		for lane.head < len(lane.queue) && k < proto.MaxFuseBatch {
 			nx := lane.queue[lane.head]
-			if !nx.fuse || nx.root != r.root || nx.n != r.n {
-				// A fusable request that cannot join this batch is a ragged
-				// break — the shape mismatch the fusion window tolerates but
-				// cannot fuse across. Counted per op (rank 0), like Ops.
-				if nx.fuse && c.rec != nil && p.Rank == 0 {
-					c.rec.CountFuseAbort()
-				}
+			if !nx.meta.Join(&r.meta, c.rec, p.Rank) {
 				break
 			}
-			nx.svcStart = r.svcStart
 			batch[k] = nx
 			k++
 			lane.head++
 		}
 		c.fusedBcast(p, batch[:k])
-		for i := range batch[:k] {
-			batch[i] = nil
-		}
+		clear(batch[:k])
 	}
 }
 
 // execReq runs a request's blocking body on the helper proc.
 func (c *Comm) execReq(p *env.Proc, r *Request) {
 	switch r.kind {
-	case reqBcast:
-		c.bcast(p, r.buf, r.off, r.n, r.root)
-	case reqAllreduce:
+	case proto.Bcast:
+		c.bcast(p, r.buf, r.off, r.n, r.meta.Root)
+	case proto.Allreduce:
 		c.allreduce(p, r.buf, r.buf2, r.n, r.dt, r.op, true, 0)
-	case reqReduce:
-		c.allreduce(p, r.buf, r.buf2, r.n, r.dt, r.op, false, r.root)
-	case reqBarrier:
+	case proto.Reduce:
+		c.allreduce(p, r.buf, r.buf2, r.n, r.dt, r.op, false, r.meta.Root)
+	case proto.Barrier:
 		c.barrier(p)
-	case reqAllgather:
+	case proto.Allgather:
 		c.allgather(p, r.buf, r.buf2, r.n)
-	case reqScatter:
-		c.scatter(p, r.buf, r.buf2, r.n, r.root)
-	case reqGather:
-		c.gather(p, r.buf, r.buf2, r.n, r.root)
+	case proto.Scatter:
+		c.scatter(p, r.buf, r.buf2, r.n, r.meta.Root)
+	case proto.Gather:
+		c.gather(p, r.buf, r.buf2, r.n, r.meta.Root)
 	default:
 		panic(fmt.Sprintf("core: unknown request kind %d", r.kind))
 	}
@@ -334,26 +294,7 @@ func (c *Comm) completeReq(r *Request) {
 	}
 	lane := &c.nb[r.rank]
 	lane.seq++
-	if c.rec != nil {
-		end := c.obsClock()
-		q := r.svcStart - r.issued
-		if q < 0 || r.svcStart == 0 {
-			q = 0
-		}
-		rec := obs.FlightRecord{
-			Seq: lane.seq, Start: r.issued, End: end,
-			Bytes: r.bytes, Lane: int32(r.rank), Op: obs.OpRequest,
-		}
-		rec.Phase[obs.PhaseQueueWait] = q
-		c.rec.RecordRequest(rec)
-		if c.Trace != nil {
-			core := c.W.Core(r.rank)
-			if q > 0 {
-				c.Trace.Record(core, -1, obs.PhaseQueueWait, "request", lane.seq, r.issued, r.issued+q, r.bytes)
-			}
-			c.Trace.Record(core, -1, obs.PhaseCollective, "request", lane.seq, r.issued, end, r.bytes)
-		}
-	}
+	r.meta.Record(c.rec, c.Trace, c.obsClock, r.rank, c.W.Core(r.rank), lane.seq)
 	r.done = true
 	if len(r.waiters) > 0 {
 		eng := c.W.Sys.Eng
@@ -375,13 +316,13 @@ func (c *Comm) completeReq(r *Request) {
 // at the low-water mark would overflow.
 func (c *Comm) fuseStaging(rank int) *mem.Buffer {
 	if c.fuseBuf[rank] == nil {
-		c.fuseBuf[rank] = c.W.NewBufferAt(c.name("fuse.%d", rank), rank, maxFuseBatch*c.fuseCap)
+		c.fuseBuf[rank] = c.W.NewBufferAt(c.name("fuse.%d", rank), rank, proto.MaxFuseBatch*c.fuseCap)
 	}
 	return c.fuseBuf[rank]
 }
 
 // fusedBcast runs one hierarchy traversal carrying a batch of same-shape
-// small broadcasts (all n bytes from the same root, k <= maxFuseBatch).
+// small broadcasts (all n bytes from the same root, k <= proto.MaxFuseBatch).
 //
 // The root stages the k payloads contiguously in its staging buffer,
 // exposes it with fuseFirst = the batch's first op sequence, and announces
@@ -413,7 +354,7 @@ func (c *Comm) fusedBcast(p *env.Proc, batch []*Request) {
 	}
 	k := len(batch)
 	n := batch[0].n
-	root := batch[0].root
+	root := batch[0].meta.Root
 	st := c.stateFor(root)
 	view := st.views[p.Rank]
 	first := view.opSeq + 1
@@ -426,7 +367,7 @@ func (c *Comm) fusedBcast(p *env.Proc, batch []*Request) {
 		}
 	}
 	kn := uint64(k) * uint64(n)
-	pc := c.newPhaseClock(p, obs.OpBcast, last, int64(kn), st.h.NLevels())
+	pc := c.clocks.Begin(p.Rank, p.Core, obs.OpBcast, last, int64(kn), st.h.NLevels())
 	lead := st.leadLevels(p.Rank)
 	pl := st.pullLevel(p.Rank)
 
@@ -440,16 +381,10 @@ func (c *Comm) fusedBcast(p *env.Proc, batch []*Request) {
 			for i, r := range batch {
 				p.Copy(stg, i*n, r.buf, r.off, n)
 			}
-			if c.chaos().FuseCorrupt && k >= 2 {
-				// Mutation: swap the first two staged sub-ops — the batch
-				// boundary corruption fusion must rule out.
-				tmp := make([]byte, n)
-				copy(tmp, stg.Data[:n])
-				copy(stg.Data[:n], stg.Data[n:2*n])
-				copy(stg.Data[n:2*n], tmp)
+			if c.chaos().CorruptStaged(stg.Data, k, n) {
 				p.Dirty(stg)
 			}
-			pc.mark(-1, obs.PhaseChunkCopy, int64(kn))
+			pc.Mark(-1, obs.PhaseChunkCopy, int64(kn))
 			for _, l := range lead {
 				gs, _ := st.groupOf(l, p.Rank)
 				gs.exposed = xpmem.Expose(stg)
@@ -458,21 +393,18 @@ func (c *Comm) fusedBcast(p *env.Proc, batch []*Request) {
 				c.setReady(p, gs, view.cumBytes[l]+kn)
 				gs.expSeq.Set(p.S, p.Core, last)
 			}
-			pc.mark(-1, obs.PhaseExpose, 0)
+			pc.Mark(-1, obs.PhaseExpose, 0)
 		}
 	} else {
 		gs, _ := st.groupOf(pl, p.Rank)
 		served := 0
 		for served < k {
 			e := gs.expSeq.WaitGE(p.S, p.Core, first+uint64(served))
-			pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+			pc.MarkFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 			f := gs.fuseFirst
 			src := c.caches[p.Rank].Attach(p.S, gs.exposed)
 			soff := gs.exposedOff
-			upTo := e
-			if upTo > last {
-				upTo = last
-			}
+			upTo := min(e, last)
 			for q := first + uint64(served); q <= upTo; q++ {
 				r := batch[q-first]
 				p.Copy(r.buf, r.off, src, soff+int(q-f)*n, n)
@@ -481,7 +413,7 @@ func (c *Comm) fusedBcast(p *env.Proc, batch []*Request) {
 				}
 			}
 			round := int(upTo-first) + 1 - served
-			pc.mark(pl, obs.PhaseChunkCopy, int64(round*n))
+			pc.Mark(pl, obs.PhaseChunkCopy, int64(round*n))
 			c.caches[p.Rank].Release(p.S, gs.exposed)
 			if stg != nil {
 				done := uint64(int(upTo-first)+1) * uint64(n)
@@ -493,7 +425,7 @@ func (c *Comm) fusedBcast(p *env.Proc, batch []*Request) {
 					c.setReady(p, lgs, view.cumBytes[l]+done)
 					lgs.expSeq.Set(p.S, p.Core, upTo)
 				}
-				pc.mark(pl, obs.PhaseExpose, 0)
+				pc.Mark(pl, obs.PhaseExpose, 0)
 			}
 			gs.acks[p.Rank].Set(p.S, p.Core, upTo)
 			served = int(upTo-first) + 1
@@ -514,11 +446,11 @@ func (c *Comm) fusedBcast(p *env.Proc, batch []*Request) {
 		}
 		shm.WaitAllGE(p.S, p.Core, flags, last)
 	}
-	pc.mark(-1, obs.PhaseAck, 0)
+	pc.Mark(-1, obs.PhaseAck, 0)
 	for l := range view.cumBytes {
 		view.cumBytes[l] += kn
 	}
-	pc.finish()
+	pc.Finish()
 	for _, r := range batch {
 		c.completeReq(r)
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xhc/internal/stats"
@@ -296,15 +297,13 @@ func (s BenchSpec) Run(sizes []int) ([]BenchResult, error) {
 }
 
 // allocNoiseFloor returns the total heap-object count below which a
-// measured window is judged allocation-free. The runtime parks goroutines
-// with cached sudogs; when the per-P caches happen to drain (onto the
-// other P, or into the central list at an inconvenient moment), the next
-// parking wave allocates fresh 96-byte sudogs — up to a few per rank, one
-// per synchronization object each rank blocks on (park channel, flag
-// mutex), so the transient is O(Ranks), not O(1). It is charged to
-// whichever window it lands in, unrelated to the op path. A real op-path
-// leak recurs every operation and so scales with Iters×Ranks (hundreds of
-// objects per window), far above the floor.
+// measured window is judged allocation-free. With the window edges
+// parking-free (allocWindow), what remains is the op path's own parks —
+// the request worker's queue receive, Request.Wait, flag waits — drawing
+// a fresh 96-byte sudog when the per-P cache they hit happens to be
+// empty: a few per rank at most, so the transient is O(Ranks). A real
+// op-path leak recurs every operation and so scales with Iters×Ranks
+// (hundreds of objects per window), far above the floor.
 func allocNoiseFloor(ranks int) uint64 {
 	return 4 + 8*uint64(ranks)
 }
@@ -314,10 +313,10 @@ func allocNoiseFloor(ranks int) uint64 {
 // (scratch accumulators, waiter lists, scheduler caches), the measured
 // window of Iters operations per rank must not allocate at all. It returns
 // allocations per (rank, operation). A window whose total object count is
-// within the rank-scaled noise floor reads as zero, and the measurement retries a few
-// times reporting the minimum — both guards against runtime cache refills
-// being charged to the window, never against per-op allocation, which
-// recurs far above the floor on every attempt.
+// within the rank-scaled noise floor reads as zero, and the measurement
+// retries a few times reporting the minimum — both guards against runtime
+// cache refills being charged to the window, never against per-op
+// allocation, which recurs far above the floor on every attempt.
 func (s BenchSpec) SteadyStateAllocs(size int) (float64, error) {
 	s = s.withDefaults()
 	ns := s.normSizes([]int{size})
@@ -358,53 +357,64 @@ func (s BenchSpec) steadyStateAllocsOnce(size int) (uint64, error) {
 		w.comm.rec.SetQuiesceDumps(true)
 		defer w.comm.rec.SetQuiesceDumps(false)
 	}
-	// A GC purges the scheduler's sudog caches (clearpools), so any
-	// goroutine park right after one allocates fresh sudogs — runtime
-	// bookkeeping that would be charged to the window. Instead of forcing
-	// a GC next to the measurement, collect once BEFORE any participant
-	// parks and disable GC for the rest of the attempt: the warmup then
-	// organically repopulates the caches, and the window — which itself
-	// allocates nothing — cannot have them purged out from under it.
+	return allocWindow(w.comm, s.Ranks, func(rank int) {
+		for it := 0; it < s.Warmup; it++ {
+			w.dirty(rank, it)
+			w.op(rank)
+		}
+	}, func(rank int) {
+		for it := 0; it < s.Iters; it++ {
+			w.dirty(rank, s.Warmup+it)
+			w.op(rank)
+		}
+	}), nil
+}
+
+// allocWindow runs warm then body on every rank of c, each followed by a
+// communicator Barrier, and returns the number of heap objects allocated
+// while the bodies ran. The window edges are atomics the harness
+// goroutines yield-spin on, never a WaitGroup or channel: parking there
+// would draw sudogs from the scheduler's caches and charge their refills
+// to the window. GC is collected once up front and then disabled — a GC
+// purges the sudog caches, and the op path's own parks right after one
+// would allocate fresh ones; the warmup repopulates them instead.
+func allocWindow(c *Comm, ranks int, warm, body func(rank int)) uint64 {
 	prevGC := debug.SetGCPercent(-1)
 	runtime.GC()
 	defer debug.SetGCPercent(prevGC)
-	var wgWarm, wgMeas, wgDone sync.WaitGroup
-	wgWarm.Add(s.Ranks)
-	wgMeas.Add(s.Ranks)
-	wgDone.Add(s.Ranks)
-	startMeas := make(chan struct{})
-	finish := make(chan struct{})
-	for r := 0; r < s.Ranks; r++ {
+	// arrived counts edge crossings (ranks per edge: warm, measured,
+	// exited); phase opens the edges (1: measure, 2: exit).
+	var arrived, phase atomic.Int32
+	for r := 0; r < ranks; r++ {
 		go func(rank int) {
-			for it := 0; it < s.Warmup; it++ {
-				w.dirty(rank, it)
-				w.op(rank)
-			}
-			// Rendezvous through the communicator first so every rank has
-			// finished its warmup ops (and its parked-wakeup machinery is
-			// warm) before anyone blocks on the measurement gate.
-			w.comm.Barrier(rank)
-			wgWarm.Done()
-			<-startMeas
-			for it := 0; it < s.Iters; it++ {
-				w.dirty(rank, s.Warmup+it)
-				w.op(rank)
-			}
-			w.comm.Barrier(rank)
-			wgMeas.Done()
-			<-finish
-			wgDone.Done()
+			warm(rank)
+			c.Barrier(rank)
+			arrived.Add(1)
+			awaitAtLeast(&phase, 1)
+			body(rank)
+			c.Barrier(rank)
+			arrived.Add(1)
+			awaitAtLeast(&phase, 2)
+			arrived.Add(1)
 		}(r)
 	}
-	wgWarm.Wait()
+	n := int32(ranks)
 	var m0, m1 runtime.MemStats
+	awaitAtLeast(&arrived, n)
 	runtime.ReadMemStats(&m0)
-	close(startMeas)
-	wgMeas.Wait()
+	phase.Store(1)
+	awaitAtLeast(&arrived, 2*n)
 	runtime.ReadMemStats(&m1)
-	close(finish)
-	wgDone.Wait()
-	return m1.Mallocs - m0.Mallocs, nil
+	phase.Store(2)
+	awaitAtLeast(&arrived, 3*n)
+	return m1.Mallocs - m0.Mallocs
+}
+
+// awaitAtLeast yields until v reaches want.
+func awaitAtLeast(v *atomic.Int32, want int32) {
+	for v.Load() < want {
+		runtime.Gosched()
+	}
 }
 
 // BenchCollectives lists the blocking collectives BenchSpec understands,

@@ -1,5 +1,7 @@
 package gxhc
 
+import "xhc/internal/proto"
+
 // ChaosConfig seeds a deliberate synchronization bug for the verify
 // harness's mutation self-test (DESIGN.md Section 10). A nil Config.Chaos
 // (the default) leaves the protocol untouched.
@@ -13,22 +15,16 @@ type ChaosConfig struct {
 	// run it under the race detector (which would abort the process).
 	StaleReady bool
 
-	// LostProgress makes the request worker drop a completed non-blocking
-	// op on the floor: the body runs, but completion is never published, so
-	// Test never reports done and Wait blocks forever — the classic missing
-	// progress bug. Caught by the concurrency runner's Test deadline.
-	LostProgress bool
+	// Mutants carries the request-layer bugs shared with core
+	// (LostProgress, EarlyComplete, FuseCorrupt). None of them injects a
+	// data race, so they run under the race detector too.
+	proto.Mutants
+}
 
-	// EarlyComplete publishes a non-blocking request's completion without
-	// running the collective body at all — completion visible before the
-	// data is. Every rank skips uniformly (no cross-rank hang, no data
-	// race), so the caller's byte check deterministically sees its stale
-	// junk fill. Caught by the per-request byte-exactness invariant.
-	EarlyComplete bool
-
-	// FuseCorrupt makes the fused-broadcast root rotate each staged sub-op
-	// payload left by one byte, corrupting the fusion batch's sub-op
-	// boundaries deterministically at any batch length (needs payloads of
-	// at least 2 bytes to take effect). Caught by byte-exactness.
-	FuseCorrupt bool
+// chaos returns the active mutation set (the zero value when none).
+func (c *Comm) chaos() ChaosConfig {
+	if c.cfg.Chaos == nil {
+		return ChaosConfig{}
+	}
+	return *c.cfg.Chaos
 }

@@ -12,10 +12,10 @@
 // The hot path is built for wall-clock speed (DESIGN.md §13): control
 // state lives in dense cache-line-padded flag arrays indexed by member
 // slot (flagLine, one line per writer — no maps, no false sharing),
-// waiters spin briefly then park on per-flag wait queues (Comm.wait, with
-// Config.Spin as the pure-spin escape hatch), reductions run through
-// unrolled bounds-check-free kernels (kernels_safe.go / gxhc_unsafe), and
-// the steady-state op path performs zero heap allocations.
+// waiters spin briefly then park on per-flag wait queues (Comm.wait),
+// reductions run through unrolled bounds-check-free kernels
+// (kernels_safe.go / gxhc_unsafe), and the steady-state op path performs
+// zero heap allocations.
 package gxhc
 
 import (
@@ -25,6 +25,7 @@ import (
 
 	"xhc/internal/hier"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/topo"
 )
 
@@ -36,13 +37,6 @@ type Config struct {
 	GroupSize int
 	// ChunkBytes is the broadcast pipelining granule.
 	ChunkBytes int
-	// Spin keeps waiters spinning (with cooperative yielding and capped
-	// sleep backoff) instead of parking on a per-flag wait queue after the
-	// bounded spin phase. Spinning minimizes wakeup latency for small
-	// latency-bound operations when every participant has a core to itself;
-	// parking (the default) is what keeps oversubscribed runs off the
-	// scheduler's back.
-	Spin bool
 	// Chaos, when non-nil, seeds a deliberate synchronization bug for the
 	// verify harness's mutation self-test (see ChaosConfig).
 	Chaos *ChaosConfig
@@ -97,7 +91,7 @@ type Comm struct {
 	// request freelist and the pending gate (request.go).
 	nb []nbRank
 	// fuse[r] is rank r's fused-broadcast staging buffer (grow-only, only
-	// ranks that lead a group stage). fuseMax is the normalized fusion
+	// ranks that lead a group stage). fuseMax is the live fusion
 	// threshold from Config.FuseBytes.
 	fuse    [][]byte
 	fuseMax int
@@ -119,19 +113,20 @@ type Comm struct {
 	// the untraced path costs one pointer comparison per collective.
 	trace *obs.Tracer
 	// rec, when attached, receives one FlightRecord per (participant,
-	// collective) — the wall-clock mirror of core's flight wiring. wcs is
-	// the per-participant pool of segment clocks (each participant runs
-	// one collective at a time, so recording stays allocation-free).
-	rec *obs.OpRecorder
-	wcs []wallClock
+	// collective) — the wall-clock mirror of core's flight wiring. clocks
+	// is the per-participant pool of segment clocks feeding trace and rec
+	// (nil while neither is attached).
+	rec    *obs.OpRecorder
+	clocks *obs.SegClocks
 	// clk is the instrumentation clock, resolved once when trace/rec is
 	// attached (trace clock, then recorder clock, then a wall-clock
 	// closure) — never per op, so the instrumented path stays alloc-free.
 	clk func() int64
 }
 
-// resolveClock picks the instrumentation clock once; callers hold c.mu.
-func (c *Comm) resolveClock() {
+// instrument picks the instrumentation clock once and rebuilds the
+// segment-clock pool over the attached sinks; callers hold c.mu.
+func (c *Comm) instrument() {
 	switch {
 	case c.trace != nil:
 		c.clk = c.trace.Now
@@ -140,6 +135,7 @@ func (c *Comm) resolveClock() {
 	default:
 		c.clk = obs.WallClock()
 	}
+	c.clocks = obs.NewSegClocks(c.trace, c.rec, c.clk, c.n)
 }
 
 // EnableTrace attaches a wall-time span tracer (one lane per participant)
@@ -151,10 +147,7 @@ func (c *Comm) EnableTrace() *obs.Tracer {
 	if c.trace == nil {
 		c.trace = obs.NewTracer("gxhc", 0, c.n, obs.WallTicksPerUS, obs.WallClock())
 	}
-	if c.wcs == nil {
-		c.wcs = make([]wallClock, c.n)
-	}
-	c.resolveClock()
+	c.instrument()
 	return c.trace
 }
 
@@ -168,92 +161,7 @@ func (c *Comm) AttachRecorder(rec *obs.OpRecorder) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rec = rec
-	if c.wcs == nil {
-		c.wcs = make([]wallClock, c.n)
-	}
-	c.resolveClock()
-}
-
-// wallClock is gxhc's segment clock, the wall-time mirror of core's
-// phaseClock: consecutive marks partition one collective into phase spans,
-// and finish commits the operation's flight record when a recorder is
-// attached. A nil receiver is a no-op, so uninstrumented runs take no
-// extra branches beyond the constructor's nil checks.
-type wallClock struct {
-	t   *obs.Tracer
-	rec *obs.OpRecorder
-	clk func() int64
-
-	lane  int
-	op    obs.OpCode
-	seq   uint64
-	bytes int64
-	lvls  uint8
-	chnks uint16
-
-	start int64
-	last  int64
-	durs  [obs.NPhases]int64
-}
-
-func (c *Comm) newWallClock(rank int, op obs.OpCode, seq uint64, bytes int64, levels int) *wallClock {
-	if c.trace == nil && c.rec == nil {
-		return nil
-	}
-	clk := c.clk
-	var wc *wallClock
-	if c.wcs != nil {
-		wc = &c.wcs[rank]
-	} else {
-		wc = &wallClock{}
-	}
-	now := clk()
-	*wc = wallClock{
-		t: c.trace, rec: c.rec, clk: clk,
-		lane: rank, op: op, seq: seq, bytes: bytes, lvls: uint8(levels),
-		start: now, last: now,
-	}
-	return wc
-}
-
-func (wc *wallClock) mark(level int, ph obs.Phase, bytes int64) {
-	wc.markFrom(level, ph, bytes, -1)
-}
-
-// markFrom is mark with an explicit causal parent lane — wait segments
-// pass the rank whose flag write released this one (see phaseClock).
-func (wc *wallClock) markFrom(level int, ph obs.Phase, bytes int64, from int) {
-	if wc == nil {
-		return
-	}
-	now := wc.clk()
-	if now > wc.last {
-		wc.durs[ph] += now - wc.last
-		if wc.t != nil {
-			wc.t.RecordLinked(wc.lane, level, ph, wc.op.String(), wc.seq, wc.last, now, bytes, from)
-		}
-	}
-	if ph == obs.PhaseChunkCopy && bytes > 0 && wc.chnks < ^uint16(0) {
-		wc.chnks++
-	}
-	wc.last = now
-}
-
-func (wc *wallClock) finish() {
-	if wc == nil {
-		return
-	}
-	now := wc.clk()
-	if wc.t != nil {
-		wc.t.Record(wc.lane, -1, obs.PhaseCollective, wc.op.String(), wc.seq, wc.start, now, wc.bytes)
-	}
-	if wc.rec != nil {
-		wc.rec.RecordFlight(obs.FlightRecord{
-			Seq: wc.seq, Start: wc.start, End: now, Bytes: wc.bytes,
-			Phase: wc.durs, Lane: int32(wc.lane), Chunks: wc.chnks,
-			Levels: wc.lvls, Op: wc.op,
-		})
-	}
+	c.instrument()
 }
 
 // viewSlot is one participant's mirror of the monotonic counters, padded
@@ -300,7 +208,7 @@ type groupCtl struct {
 	leader     int
 	leaderSlot int
 	members    []int32
-	// spinBudget is spinBudgetFor(len(members)): waits on this group's
+	// spinBudget is c.spinBudgetFor(len(members)): waits on this group's
 	// flags stay in the yielding spin phase longer the smaller the group.
 	spinBudget int
 	// exposed holds the leader's current buffer ([]byte for Bcast and
@@ -387,13 +295,9 @@ func New(n int, cfg Config) (*Comm, error) {
 		c.nb[r].q = make(chan *Request, nbQueueCap)
 	}
 	c.fuse = make([][]byte, n)
-	switch {
-	case cfg.FuseBytes < 0:
-		c.fuseMax = 0
-	case cfg.FuseBytes == 0:
+	c.fuseMax = cfg.FuseBytes // negative: proto.Fusable never fuses
+	if c.fuseMax == 0 {
 		c.fuseMax = defaultFuseBytes
-	default:
-		c.fuseMax = cfg.FuseBytes
 	}
 	if _, err := c.stateFor(0); err != nil {
 		return nil, err
@@ -532,7 +436,7 @@ func (c *Comm) buildState(root int) (*state, error) {
 // the request queue (request.go); otherwise it runs inline.
 func (c *Comm) Bcast(rank int, buf []byte, root int) {
 	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqBcast, buf, nil, nil, nil, root, 0)
+		c.issueBlocking(rank, proto.Bcast, buf, nil, nil, nil, root, 0)
 		return
 	}
 	c.bcast(rank, buf, root)
@@ -549,7 +453,7 @@ func (c *Comm) bcast(rank int, buf []byte, root int) {
 	seq := v.opSeq
 	n := len(buf)
 	v.lastBytes = n
-	wc := c.newWallClock(rank, obs.OpBcast, seq, int64(n), st.h.NLevels())
+	wc := c.clocks.Begin(rank, rank, obs.OpBcast, seq, int64(n), st.h.NLevels())
 	p := &st.plans[rank]
 
 	for i := range p.lead {
@@ -557,23 +461,23 @@ func (c *Comm) bcast(rank int, buf []byte, root int) {
 		ctl.exposed = buf
 		ctl.expSeq.set(seq)
 	}
-	wc.mark(-1, obs.PhaseExpose, 0)
+	wc.Mark(-1, obs.PhaseExpose, 0)
 	if rank == root {
 		for i := range p.lead {
 			lr := &p.lead[i]
 			lr.ctl.ready.set(v.cum[lr.level] + uint64(n))
 		}
-		wc.mark(-1, obs.PhaseChunkCopy, int64(n))
+		wc.Mark(-1, obs.PhaseChunkCopy, int64(n))
 	} else if n > 0 {
 		ctl := p.pull.ctl
 		c.wait(&ctl.expSeq, seq, rank, c.opBudget(ctl.spinBudget, n))
 		src := ctl.exposed
-		wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
+		wc.MarkFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
 		base := v.cum[p.pull.level]
 		copied := 0
 		for copied < n {
 			var avail int
-			if c.cfg.Chaos != nil && c.cfg.Chaos.StaleReady {
+			if c.chaos().StaleReady {
 				// Mutation: skip the ready wait and trust the exposure.
 				avail = n
 			} else {
@@ -583,7 +487,7 @@ func (c *Comm) bcast(rank int, buf []byte, root int) {
 					avail = n
 				}
 			}
-			wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
+			wc.MarkFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
 			before := copied
 			copy(buf[copied:avail], src[copied:avail])
 			copied = avail
@@ -591,7 +495,7 @@ func (c *Comm) bcast(rank int, buf []byte, root int) {
 				lr := &p.lead[i]
 				lr.ctl.ready.set(v.cum[lr.level] + uint64(copied))
 			}
-			wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(copied-before))
+			wc.Mark(p.pull.level, obs.PhaseChunkCopy, int64(copied-before))
 		}
 	}
 
@@ -607,11 +511,11 @@ func (c *Comm) bcast(rank int, buf []byte, root int) {
 			}
 		}
 	}
-	wc.mark(-1, obs.PhaseAck, 0)
+	wc.Mark(-1, obs.PhaseAck, 0)
 	for l := range v.cum {
 		v.cum[l] += uint64(n)
 	}
-	wc.finish()
+	wc.Finish()
 }
 
 // AllreduceFloat64 sums src element-wise across all participants into
@@ -625,7 +529,7 @@ func (c *Comm) AllreduceFloat64(rank int, dst, src []float64) {
 // (sum, min or max — see ReduceOp).
 func (c *Comm) AllreduceFloat64Op(rank int, dst, src []float64, op ReduceOp) {
 	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqAllreduce, nil, nil, dst, src, 0, op)
+		c.issueBlocking(rank, proto.Allreduce, nil, nil, dst, src, 0, op)
 		return
 	}
 	c.reduceFloat64(rank, dst, src, 0, true, op)
@@ -642,7 +546,7 @@ func (c *Comm) ReduceFloat64(rank int, dst, src []float64, root int) {
 // ReduceFloat64Op is ReduceFloat64 with an explicit element-wise op.
 func (c *Comm) ReduceFloat64Op(rank int, dst, src []float64, root int, op ReduceOp) {
 	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqReduce, nil, nil, dst, src, root, op)
+		c.issueBlocking(rank, proto.Reduce, nil, nil, dst, src, root, op)
 		return
 	}
 	c.reduceFloat64(rank, dst, src, root, false, op)
@@ -669,7 +573,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 	if !bcast {
 		opCode = obs.OpReduce
 	}
-	wc := c.newWallClock(rank, opCode, seq, int64(n)*8, st.h.NLevels())
+	wc := c.clocks.Begin(rank, rank, opCode, seq, int64(n)*8, st.h.NLevels())
 	p := &st.plans[rank]
 
 	// The accumulator of a leader is its result buffer: dst for allreduce
@@ -714,7 +618,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 	}
 	// Leaf contributions are ready immediately.
 	p.leaf.ctl.red[p.leaf.slot].set(seq * 2) // phase counter: 2k = ready
-	wc.mark(-1, obs.PhaseExpose, 0)
+	wc.Mark(-1, obs.PhaseExpose, 0)
 
 	// Bottom-up walk. A rank first completes its duties as a leader of
 	// the levels below (wait for the group's reducers, then publish its
@@ -740,7 +644,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 			p.pull.ctl.red[p.pull.slot].set(seq * 2)
 		}
 	}
-	wc.mark(-1, obs.PhaseFlagWait, 0)
+	wc.Mark(-1, obs.PhaseFlagWait, 0)
 	if p.hasPull {
 		ctl := p.pull.ctl
 		// Reduce this rank's index partition of [0,n) into the leader's
@@ -754,7 +658,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 			for s := range ctl.red {
 				c.wait(&ctl.red[s], seq*2, rank, c.opBudget(ctl.spinBudget, n*8))
 			}
-			wc.mark(p.pull.level, obs.PhaseFlagWait, 0)
+			wc.Mark(p.pull.level, obs.PhaseFlagWait, 0)
 			leaderContrib := ctl.contrib[ctl.leaderSlot].f
 			if &leaderContrib[0] != &lacc[0] {
 				copy(lacc[lo:hi], leaderContrib[lo:hi])
@@ -765,7 +669,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 				}
 				vecReduce(op, lacc[lo:hi], ctl.contrib[s].f[lo:hi])
 			}
-			wc.mark(p.pull.level, obs.PhaseReduceSlice, int64(hi-lo)*8)
+			wc.Mark(p.pull.level, obs.PhaseReduceSlice, int64(hi-lo)*8)
 		}
 		// Signal slice completion (phase 2k+1).
 		ctl.red[p.pull.slot].set(seq*2 + 1)
@@ -786,7 +690,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 			ctl := p.pull.ctl
 			base := v.cum[p.pull.level]
 			c.wait(&ctl.ready, base+uint64(n), rank, c.opBudget(ctl.spinBudget, n*8))
-			wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
+			wc.MarkFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
 			final := ctl.exposedF
 			if &dst[0] != &final[0] {
 				copy(dst, final)
@@ -795,7 +699,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 				lr := &p.lead[i]
 				lr.ctl.ready.set(v.cum[lr.level] + uint64(n))
 			}
-			wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(n)*8)
+			wc.Mark(p.pull.level, obs.PhaseChunkCopy, int64(n)*8)
 		}
 	}
 
@@ -826,19 +730,19 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 			}
 		}
 	}
-	wc.mark(-1, obs.PhaseAck, 0)
+	wc.Mark(-1, obs.PhaseAck, 0)
 	if bcast {
 		for l := range v.cum {
 			v.cum[l] += uint64(n)
 		}
 	}
-	wc.finish()
+	wc.Finish()
 }
 
 // Barrier blocks until every participant has arrived.
 func (c *Comm) Barrier(rank int) {
 	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqBarrier, nil, nil, nil, nil, 0, 0)
+		c.issueBlocking(rank, proto.Barrier, nil, nil, nil, nil, 0, 0)
 		return
 	}
 	c.barrier(rank)
@@ -850,9 +754,9 @@ func (c *Comm) barrier(rank int) {
 	st, _ := c.stateFor(0)
 	v := &c.views[rank]
 	v.opSeq++
-	wc := c.newWallClock(rank, obs.OpBarrier, v.opSeq, 0, st.h.NLevels())
+	wc := c.clocks.Begin(rank, rank, obs.OpBarrier, v.opSeq, 0, st.h.NLevels())
 	c.barrierBody(st, v, rank, wc)
-	wc.finish()
+	wc.Finish()
 }
 
 // barrierBody is the hierarchical arrival/release round: arrival propagates
@@ -860,7 +764,7 @@ func (c *Comm) barrier(rank int) {
 // consuming one token on every level's cum mirror. Used by Barrier and as
 // Allgather's exit synchronization (no participant may return — and reuse
 // its exposed contribution — before every other participant has read it).
-func (c *Comm) barrierBody(st *state, v *viewSlot, rank int, wc *wallClock) {
+func (c *Comm) barrierBody(st *state, v *viewSlot, rank int, wc *obs.SegClock) {
 	p := &st.plans[rank]
 	seq := v.opSeq
 	for i := range p.lead {
@@ -883,7 +787,7 @@ func (c *Comm) barrierBody(st *state, v *viewSlot, rank int, wc *wallClock) {
 	for l := range v.cum {
 		v.cum[l]++
 	}
-	wc.mark(-1, obs.PhaseFlagWait, 0)
+	wc.Mark(-1, obs.PhaseFlagWait, 0)
 }
 
 // Allgather concatenates every participant's in block into each
@@ -894,7 +798,7 @@ func (c *Comm) barrierBody(st *state, v *viewSlot, rank int, wc *wallClock) {
 // peer is still reading.
 func (c *Comm) Allgather(rank int, in, out []byte) {
 	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqAllgather, in, out, nil, nil, 0, 0)
+		c.issueBlocking(rank, proto.Allgather, in, out, nil, nil, 0, 0)
 		return
 	}
 	c.allgather(rank, in, out)
@@ -912,11 +816,11 @@ func (c *Comm) allgather(rank int, in, out []byte) {
 	v.opSeq++
 	seq := v.opSeq
 	v.lastBytes = blockLen * c.n
-	wc := c.newWallClock(rank, obs.OpAllgather, seq, int64(blockLen), st.h.NLevels())
+	wc := c.clocks.Begin(rank, rank, obs.OpAllgather, seq, int64(blockLen), st.h.NLevels())
 
 	c.ag[rank].blk = in
 	c.ag[rank].seq.set(seq)
-	wc.mark(-1, obs.PhaseExpose, 0)
+	wc.Mark(-1, obs.PhaseExpose, 0)
 	for r := 0; r < c.n; r++ {
 		if r == rank {
 			copy(out[blockLen*r:blockLen*(r+1)], in)
@@ -925,9 +829,9 @@ func (c *Comm) allgather(rank int, in, out []byte) {
 		c.wait(&c.ag[r].seq, seq, rank, c.opBudget(c.agBudget, blockLen))
 		copy(out[blockLen*r:blockLen*(r+1)], c.ag[r].blk)
 	}
-	wc.mark(-1, obs.PhaseChunkCopy, int64(blockLen*c.n))
+	wc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen*c.n))
 	c.barrierBody(st, v, rank, wc)
-	wc.finish()
+	wc.Finish()
 }
 
 // Scatter distributes blockLen-byte blocks from root's in buffer (N
@@ -937,7 +841,7 @@ func (c *Comm) allgather(rank int, in, out []byte) {
 // from reusing in — before every block has been pulled.
 func (c *Comm) Scatter(rank int, in, out []byte, root int) {
 	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqScatter, in, out, nil, nil, root, 0)
+		c.issueBlocking(rank, proto.Scatter, in, out, nil, nil, root, 0)
 		return
 	}
 	c.scatter(rank, in, out, root)
@@ -955,7 +859,7 @@ func (c *Comm) scatter(rank int, in, out []byte, root int) {
 	seq := v.opSeq
 	blockLen := len(out)
 	v.lastBytes = blockLen
-	wc := c.newWallClock(rank, obs.OpScatter, seq, int64(blockLen), st.h.NLevels())
+	wc := c.clocks.Begin(rank, rank, obs.OpScatter, seq, int64(blockLen), st.h.NLevels())
 	p := &st.plans[rank]
 
 	ctl := st.top // top group carries the exposure
@@ -965,15 +869,15 @@ func (c *Comm) scatter(rank int, in, out []byte, root int) {
 		}
 		ctl.exposed = in
 		ctl.expSeq.set(seq)
-		wc.mark(-1, obs.PhaseExpose, 0)
+		wc.Mark(-1, obs.PhaseExpose, 0)
 		copy(out, in[blockLen*root:blockLen*(root+1)])
 	} else if blockLen > 0 {
 		c.wait(&ctl.expSeq, seq, rank, c.opBudget(ctl.spinBudget, blockLen))
-		wc.markFrom(-1, obs.PhaseFlagWait, 0, ctl.leader)
+		wc.MarkFrom(-1, obs.PhaseFlagWait, 0, ctl.leader)
 		src := ctl.exposed
 		copy(out, src[blockLen*rank:blockLen*(rank+1)])
 	}
-	wc.mark(-1, obs.PhaseChunkCopy, int64(blockLen))
+	wc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 
 	// Hierarchical acknowledgment (converges to root, the top leader). The
 	// exposure crosses group boundaries — every rank pulls from root's in —
@@ -991,20 +895,6 @@ func (c *Comm) scatter(rank int, in, out []byte, root int) {
 	if p.hasPull {
 		p.pull.ctl.acks[p.pull.slot].set(seq)
 	}
-	wc.mark(-1, obs.PhaseAck, 0)
-	wc.finish()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	wc.Mark(-1, obs.PhaseAck, 0)
+	wc.Finish()
 }

@@ -233,82 +233,73 @@ func TestFlatConfig(t *testing.T) {
 // with more waiting participants than OS threads, a pure busy-wait loop can
 // livelock because the ranks holding the next counter update never get
 // scheduled. 64 ranks on GOMAXPROCS=2 must promptly finish all six
-// collectives under both waiter modes — the parking waiter (the default,
-// which takes oversubscribed waiters off the scheduler entirely) and the
-// Spin escape hatch (yield/sleep backoff, the original fix).
+// collectives — the parking waiter takes oversubscribed waiters off the
+// scheduler entirely.
 func TestOversubscribedProgress(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		spin bool
-	}{{"park", false}, {"spin", true}} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			old := runtime.GOMAXPROCS(2)
-			defer runtime.GOMAXPROCS(old)
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
 
-			const n = 64
-			const elems = 256
-			const blockLen = 512
-			c := MustNew(n, Config{GroupSize: 8, ChunkBytes: 1024, Spin: mode.spin})
-			bufs := make([][]byte, n)
-			src := make([][]float64, n)
-			dst := make([][]float64, n)
-			agOut := make([][]byte, n)
-			scOut := make([][]byte, n)
-			for r := 0; r < n; r++ {
-				bufs[r] = make([]byte, 4096)
-				src[r] = make([]float64, elems)
-				dst[r] = make([]float64, elems)
-				agOut[r] = make([]byte, blockLen*n)
-				scOut[r] = make([]byte, blockLen)
-				for i := range src[r] {
-					src[r][i] = 1
-				}
-			}
-			for i := range bufs[0] {
-				bufs[0][i] = byte(i * 3)
-			}
-			scIn := make([]byte, blockLen*n)
-			for i := range scIn {
-				scIn[i] = byte(i * 5)
-			}
+	const n = 64
+	const elems = 256
+	const blockLen = 512
+	c := MustNew(n, Config{GroupSize: 8, ChunkBytes: 1024})
+	bufs := make([][]byte, n)
+	src := make([][]float64, n)
+	dst := make([][]float64, n)
+	agOut := make([][]byte, n)
+	scOut := make([][]byte, n)
+	for r := 0; r < n; r++ {
+		bufs[r] = make([]byte, 4096)
+		src[r] = make([]float64, elems)
+		dst[r] = make([]float64, elems)
+		agOut[r] = make([]byte, blockLen*n)
+		scOut[r] = make([]byte, blockLen)
+		for i := range src[r] {
+			src[r][i] = 1
+		}
+	}
+	for i := range bufs[0] {
+		bufs[0][i] = byte(i * 3)
+	}
+	scIn := make([]byte, blockLen*n)
+	for i := range scIn {
+		scIn[i] = byte(i * 5)
+	}
 
-			done := make(chan struct{})
-			go func() {
-				runAll(n, func(rank int) {
-					c.Bcast(rank, bufs[rank], 0)
-					c.AllreduceFloat64(rank, dst[rank], src[rank])
-					c.Barrier(rank)
-					c.ReduceFloat64(rank, dst[rank], src[rank], 3)
-					c.Allgather(rank, bufs[rank][:blockLen], agOut[rank])
-					var in []byte
-					if rank == 0 {
-						in = scIn
-					}
-					c.Scatter(rank, in, scOut[rank], 0)
-				})
-				close(done)
-			}()
-			select {
-			case <-done:
-			case <-time.After(60 * time.Second):
-				t.Fatalf("collectives stalled with 64 ranks on GOMAXPROCS=2 (%s waiter starvation)", mode.name)
+	done := make(chan struct{})
+	go func() {
+		runAll(n, func(rank int) {
+			c.Bcast(rank, bufs[rank], 0)
+			c.AllreduceFloat64(rank, dst[rank], src[rank])
+			c.Barrier(rank)
+			c.ReduceFloat64(rank, dst[rank], src[rank], 3)
+			c.Allgather(rank, bufs[rank][:blockLen], agOut[rank])
+			var in []byte
+			if rank == 0 {
+				in = scIn
 			}
-			for r := 0; r < n; r++ {
-				if bufs[r][100] != byte(300%256) {
-					t.Fatalf("rank %d bcast data wrong", r)
-				}
-				if dst[3][0] != float64(n) {
-					t.Fatalf("rooted reduce = %v, want %v", dst[3][0], float64(n))
-				}
-				if agOut[r][blockLen*7+100] != bufs[7][100] {
-					t.Fatalf("rank %d allgather block 7 wrong", r)
-				}
-				if scOut[r][11] != scIn[blockLen*r+11] {
-					t.Fatalf("rank %d scatter block wrong", r)
-				}
-			}
+			c.Scatter(rank, in, scOut[rank], 0)
 		})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("collectives stalled with 64 ranks on GOMAXPROCS=2 (waiter starvation)")
+	}
+	for r := 0; r < n; r++ {
+		if bufs[r][100] != byte(300%256) {
+			t.Fatalf("rank %d bcast data wrong", r)
+		}
+		if dst[3][0] != float64(n) {
+			t.Fatalf("rooted reduce = %v, want %v", dst[3][0], float64(n))
+		}
+		if agOut[r][blockLen*7+100] != bufs[7][100] {
+			t.Fatalf("rank %d allgather block 7 wrong", r)
+		}
+		if scOut[r][11] != scIn[blockLen*r+11] {
+			t.Fatalf("rank %d scatter block wrong", r)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package gxhc
 
 import (
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"testing"
 	"unsafe"
 )
@@ -92,53 +89,19 @@ func TestScratchMixedSizeZeroAllocs(t *testing.T) {
 		}
 	}
 
-	// Long-lived workers (goroutine creation allocates, so it must stay
-	// outside the measured window): warmup cycles grow every scratch slot
-	// to max capacity, then a gated window of mixed-size cycles must not
-	// allocate at all. GC is collected once up front and then disabled for
-	// the measurement — a GC purges the scheduler's sudog caches, and the
-	// parks right after one would charge cache refills to the window.
+	// Warmup cycles grow every scratch slot to max capacity, then a window
+	// of mixed-size cycles must not allocate at all (allocWindow).
 	const reps = 10
-	measure := func() float64 {
-		prevGC := debug.SetGCPercent(-1)
-		runtime.GC()
-		defer debug.SetGCPercent(prevGC)
-		var wgWarm, wgMeas, wgDone sync.WaitGroup
-		wgWarm.Add(ranks)
-		wgMeas.Add(ranks)
-		wgDone.Add(ranks)
-		startMeas := make(chan struct{})
-		finish := make(chan struct{})
-		for r := 0; r < ranks; r++ {
-			go func(rank int) {
-				for it := 0; it < 3; it++ {
-					for _, n := range sizes {
-						c.ReduceFloat64(rank, dst[rank][:n], src[rank][:n], root)
-					}
-				}
-				c.Barrier(rank)
-				wgWarm.Done()
-				<-startMeas
-				for it := 0; it < reps; it++ {
-					for _, n := range sizes {
-						c.ReduceFloat64(rank, dst[rank][:n], src[rank][:n], root)
-					}
-				}
-				c.Barrier(rank)
-				wgMeas.Done()
-				<-finish
-				wgDone.Done()
-			}(r)
+	cycles := func(rank, iters int) {
+		for it := 0; it < iters; it++ {
+			for _, n := range sizes {
+				c.ReduceFloat64(rank, dst[rank][:n], src[rank][:n], root)
+			}
 		}
-		wgWarm.Wait()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		close(startMeas)
-		wgMeas.Wait()
-		runtime.ReadMemStats(&m1)
-		close(finish)
-		wgDone.Wait()
-		return float64(m1.Mallocs-m0.Mallocs) / float64(reps*len(sizes)*ranks)
+	}
+	measure := func() float64 {
+		total := allocWindow(c, ranks, func(rank int) { cycles(rank, 3) }, func(rank int) { cycles(rank, reps) })
+		return float64(total) / float64(reps*len(sizes)*ranks)
 	}
 	best := -1.0
 	for attempt := 0; attempt < 3 && best != 0; attempt++ {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 )
 
 // Non-blocking collectives (DESIGN.md §15). Ibcast/Iallreduce/Ireduce/
@@ -25,30 +26,18 @@ import (
 // [1..2],[3..4] against a member that batched [1..4] — because shape
 // changes break batches at the same op index everywhere (op-order
 // uniformity), so every op inside an overlapping window shares one (root,
-// n) and the groupCtl.fuseFirst offset arithmetic stays valid.
+// n) and the groupCtl.fuseFirst offset arithmetic stays valid. The fusion
+// and batch-join rules are shared with core (internal/proto).
 
 const (
 	// nbQueueCap bounds a rank's in-flight request queue; issue blocks
 	// (applying backpressure, not deadlock — the worker drains
 	// independently) when the queue is full.
 	nbQueueCap = 64
-	// maxFuseBatch caps how many fusable broadcasts one traversal carries.
-	maxFuseBatch = 8
 	// defaultFuseBytes is the fusion threshold when Config.FuseBytes is 0 —
 	// the CICO/XPMEM size-class boundary (a payload this small is latency-
 	// bound, so amortizing the flag round-trips across a batch is the win).
 	defaultFuseBytes = 1 << 10
-)
-
-type reqKind uint8
-
-const (
-	reqBcast reqKind = iota
-	reqAllreduce
-	reqReduce
-	reqBarrier
-	reqAllgather
-	reqScatter
 )
 
 // Request is one in-flight non-blocking collective. Requests are pooled
@@ -58,19 +47,13 @@ const (
 type Request struct {
 	c    *Comm
 	rank int
-	kind reqKind
-	// fuse marks a fusable small broadcast (set only by Ibcast).
-	fuse bool
-	root int
+	kind proto.Kind
+	meta proto.Req
 	op   ReduceOp
 	buf  []byte // bcast buf / allgather in / scatter in
 	buf2 []byte // allgather out / scatter out
 	fdst []float64
 	fsrc []float64
-
-	issued   int64 // issue timestamp (instrumented runs only)
-	svcStart int64 // worker pop timestamp (service start)
-	bytes    int64
 
 	// done is the completion flag (worker publishes, caller polls); parked
 	// tells the worker a waiter may be blocked on ch (Dekker handshake,
@@ -122,8 +105,7 @@ func (c *Comm) getReq(rank int) *Request {
 // freelist. Called only from the rank's application goroutine.
 func (r *Request) release() {
 	r.buf, r.buf2, r.fdst, r.fsrc = nil, nil, nil, nil
-	r.fuse = false
-	r.bytes = 0
+	r.meta = proto.Req{}
 	w := &r.c.nb[r.rank]
 	r.next = w.free
 	w.free = r
@@ -133,13 +115,7 @@ func (r *Request) release() {
 func (c *Comm) issue(r *Request) *Request {
 	w := &c.nb[r.rank]
 	w.pending.Add(1)
-	cur := c.inflight.Add(1)
-	if c.rec != nil {
-		c.rec.NoteInflight(cur)
-	}
-	if c.clk != nil {
-		r.issued = c.clk()
-	}
+	r.meta.Issue(c.rec, c.clk, c.inflight.Add(1))
 	if !w.started {
 		w.started = true
 		go c.nbWorker(r.rank)
@@ -152,9 +128,9 @@ func (c *Comm) issue(r *Request) *Request {
 // (because the rank has non-blocking requests in flight) and waits inline.
 // The request is never fusable: the matching calls on other ranks are
 // blocking too and run the blocking body directly.
-func (c *Comm) issueBlocking(rank int, kind reqKind, buf, buf2 []byte, fdst, fsrc []float64, root int, op ReduceOp) {
+func (c *Comm) issueBlocking(rank int, kind proto.Kind, buf, buf2 []byte, fdst, fsrc []float64, root int, op ReduceOp) {
 	r := c.getReq(rank)
-	r.kind, r.buf, r.buf2, r.fdst, r.fsrc, r.root, r.op = kind, buf, buf2, fdst, fsrc, root, op
+	r.kind, r.buf, r.buf2, r.fdst, r.fsrc, r.meta.Root, r.op = kind, buf, buf2, fdst, fsrc, root, op
 	c.issue(r).Wait()
 }
 
@@ -163,10 +139,9 @@ func (c *Comm) issueBlocking(rank int, kind reqKind, buf, buf2 []byte, fdst, fsr
 // Config.FuseBytes) are fusable.
 func (c *Comm) Ibcast(rank int, buf []byte, root int) *Request {
 	r := c.getReq(rank)
-	r.kind, r.buf, r.root = reqBcast, buf, root
-	n := len(buf)
-	r.bytes = int64(n)
-	r.fuse = n > 0 && n <= c.fuseMax
+	r.kind, r.buf, r.meta.Root = proto.Bcast, buf, root
+	r.meta.Bytes = int64(len(buf))
+	r.meta.Fuse = proto.Fusable(len(buf), c.fuseMax)
 	return c.issue(r)
 }
 
@@ -177,23 +152,23 @@ func (c *Comm) Iallreduce(rank int, dst, src []float64, op ReduceOp) *Request {
 		panic("gxhc: dst/src length mismatch")
 	}
 	r := c.getReq(rank)
-	r.kind, r.fdst, r.fsrc, r.root, r.op = reqAllreduce, dst, src, 0, op
-	r.bytes = int64(len(src)) * 8
+	r.kind, r.fdst, r.fsrc, r.op = proto.Allreduce, dst, src, op
+	r.meta.Bytes = int64(len(src)) * 8
 	return c.issue(r)
 }
 
 // Ireduce starts a non-blocking rooted reduction (result in root's dst).
 func (c *Comm) Ireduce(rank int, dst, src []float64, root int, op ReduceOp) *Request {
 	r := c.getReq(rank)
-	r.kind, r.fdst, r.fsrc, r.root, r.op = reqReduce, dst, src, root, op
-	r.bytes = int64(len(src)) * 8
+	r.kind, r.fdst, r.fsrc, r.meta.Root, r.op = proto.Reduce, dst, src, root, op
+	r.meta.Bytes = int64(len(src)) * 8
 	return c.issue(r)
 }
 
 // Ibarrier starts a non-blocking barrier.
 func (c *Comm) Ibarrier(rank int) *Request {
 	r := c.getReq(rank)
-	r.kind = reqBarrier
+	r.kind = proto.Barrier
 	return c.issue(r)
 }
 
@@ -201,8 +176,8 @@ func (c *Comm) Ibarrier(rank int) *Request {
 // every rank's out buffer.
 func (c *Comm) Iallgather(rank int, in, out []byte) *Request {
 	r := c.getReq(rank)
-	r.kind, r.buf, r.buf2 = reqAllgather, in, out
-	r.bytes = int64(len(in))
+	r.kind, r.buf, r.buf2 = proto.Allgather, in, out
+	r.meta.Bytes = int64(len(in))
 	return c.issue(r)
 }
 
@@ -210,8 +185,8 @@ func (c *Comm) Iallgather(rank int, in, out []byte) *Request {
 // rank's out.
 func (c *Comm) Iscatter(rank int, in, out []byte, root int) *Request {
 	r := c.getReq(rank)
-	r.kind, r.buf, r.buf2, r.root = reqScatter, in, out, root
-	r.bytes = int64(len(out))
+	r.kind, r.buf, r.buf2, r.meta.Root = proto.Scatter, in, out, root
+	r.meta.Bytes = int64(len(out))
 	return c.issue(r)
 }
 
@@ -307,7 +282,7 @@ func (c *Comm) Split(ranks []int) (*Comm, error) {
 // is the Close sentinel.
 func (c *Comm) nbWorker(rank int) {
 	w := &c.nb[rank]
-	var batch [maxFuseBatch]*Request
+	var batch [proto.MaxFuseBatch]*Request
 	var carry *Request
 	for {
 		var r *Request
@@ -319,11 +294,9 @@ func (c *Comm) nbWorker(rank int) {
 		if r == nil {
 			return
 		}
-		if c.clk != nil {
-			r.svcStart = c.clk()
-		}
-		if !r.fuse {
-			if c.cfg.Chaos == nil || !c.cfg.Chaos.EarlyComplete {
+		r.meta.StampService(c.clk)
+		if !r.meta.Fuse {
+			if !c.chaos().EarlyComplete {
 				c.execReq(r)
 			}
 			c.completeReq(r)
@@ -333,35 +306,25 @@ func (c *Comm) nbWorker(rank int) {
 		k := 1
 		stop := false
 	drain:
-		for k < maxFuseBatch {
+		for k < proto.MaxFuseBatch {
 			select {
 			case nx := <-w.q:
 				if nx == nil {
 					stop = true
 					break drain
 				}
-				if nx.fuse && nx.root == r.root && len(nx.buf) == len(r.buf) {
-					nx.svcStart = r.svcStart
-					batch[k] = nx
-					k++
-				} else {
-					// A fusable request with a mismatched shape breaks the
-					// batch: a ragged fuse abort (counted per op on rank 0,
-					// the Ops convention).
-					if nx.fuse && c.rec != nil && rank == 0 {
-						c.rec.CountFuseAbort()
-					}
+				if !nx.meta.Join(&r.meta, c.rec, rank) {
 					carry = nx
 					break drain
 				}
+				batch[k] = nx
+				k++
 			default:
 				break drain
 			}
 		}
 		c.fusedBcast(rank, batch[:k])
-		for i := 0; i < k; i++ {
-			batch[i] = nil
-		}
+		clear(batch[:k])
 		if stop {
 			return
 		}
@@ -371,18 +334,18 @@ func (c *Comm) nbWorker(rank int) {
 // execReq dispatches one queued request to its blocking body.
 func (c *Comm) execReq(r *Request) {
 	switch r.kind {
-	case reqBcast:
-		c.bcast(r.rank, r.buf, r.root)
-	case reqAllreduce:
+	case proto.Bcast:
+		c.bcast(r.rank, r.buf, r.meta.Root)
+	case proto.Allreduce:
 		c.reduceFloat64(r.rank, r.fdst, r.fsrc, 0, true, r.op)
-	case reqReduce:
-		c.reduceFloat64(r.rank, r.fdst, r.fsrc, r.root, false, r.op)
-	case reqBarrier:
+	case proto.Reduce:
+		c.reduceFloat64(r.rank, r.fdst, r.fsrc, r.meta.Root, false, r.op)
+	case proto.Barrier:
 		c.barrier(r.rank)
-	case reqAllgather:
+	case proto.Allgather:
 		c.allgather(r.rank, r.buf, r.buf2)
-	case reqScatter:
-		c.scatter(r.rank, r.buf, r.buf2, r.root)
+	case proto.Scatter:
+		c.scatter(r.rank, r.buf, r.buf2, r.meta.Root)
 	}
 }
 
@@ -391,32 +354,14 @@ func (c *Comm) execReq(r *Request) {
 // in that order, so pending reaching zero proves the worker is idle and
 // the view counters are safe for an inline blocking call.
 func (c *Comm) completeReq(r *Request) {
-	if c.cfg.Chaos != nil && c.cfg.Chaos.LostProgress {
+	if c.chaos().LostProgress {
 		// Mutation: the op ran but its completion is dropped — Test never
 		// reports done and Wait blocks forever.
 		return
 	}
 	w := &c.nb[r.rank]
 	w.seq++
-	if c.rec != nil {
-		end := c.clk()
-		q := r.svcStart - r.issued
-		if q < 0 || r.svcStart == 0 {
-			q = 0
-		}
-		rec := obs.FlightRecord{
-			Seq: w.seq, Start: r.issued, End: end, Bytes: r.bytes,
-			Lane: int32(r.rank), Op: obs.OpRequest,
-		}
-		rec.Phase[obs.PhaseQueueWait] = q
-		c.rec.RecordRequest(rec)
-		if c.trace != nil {
-			if q > 0 {
-				c.trace.Record(r.rank, -1, obs.PhaseQueueWait, "request", w.seq, r.issued, r.issued+q, r.bytes)
-			}
-			c.trace.Record(r.rank, -1, obs.PhaseCollective, "request", w.seq, r.issued, end, r.bytes)
-		}
-	}
+	r.meta.Record(c.rec, c.trace, c.clk, r.rank, r.rank, w.seq)
 	r.done.Store(1)
 	if r.parked.Load() != 0 {
 		select {
@@ -440,13 +385,13 @@ func (c *Comm) completeReq(r *Request) {
 // advances its cum mirrors by k*n so the counters stay exchangeable with
 // the blocking ops around the batch.
 func (c *Comm) fusedBcast(rank int, batch []*Request) {
-	if c.cfg.Chaos != nil && c.cfg.Chaos.EarlyComplete {
+	if c.chaos().EarlyComplete {
 		for _, r := range batch {
 			c.completeReq(r)
 		}
 		return
 	}
-	root := batch[0].root
+	root := batch[0].meta.Root
 	n := len(batch[0].buf)
 	k := len(batch)
 	st, err := c.stateFor(root)
@@ -463,7 +408,7 @@ func (c *Comm) fusedBcast(rank int, batch []*Request) {
 	if rank == 0 && c.rec != nil {
 		c.rec.CountFusedBatch(k, int64(k)*int64(n))
 	}
-	wc := c.newWallClock(rank, obs.OpBcast, last, int64(k*n), st.h.NLevels())
+	wc := c.clocks.Begin(rank, rank, obs.OpBcast, last, int64(k*n), st.h.NLevels())
 
 	// Leaders stage; plain leaf members copy straight into request bufs.
 	var stg []byte
@@ -484,38 +429,19 @@ func (c *Comm) fusedBcast(rank int, batch []*Request) {
 		for i, r := range batch {
 			copy(stg[i*n:(i+1)*n], r.buf)
 		}
-		if c.cfg.Chaos != nil && c.cfg.Chaos.FuseCorrupt && n >= 2 {
-			// Mutation: rotate each staged sub-op payload left one byte —
-			// a corrupted sub-op boundary, deterministic at any batch size.
-			for i := 0; i < k; i++ {
-				b := stg[i*n : (i+1)*n]
-				fb := b[0]
-				copy(b, b[1:])
-				b[n-1] = fb
-			}
-		}
-		for i := range p.lead {
-			lr := &p.lead[i]
-			lc := lr.ctl
-			lc.exposed = stg
-			lc.fuseFirst = first
-			lc.ready.set(v.cum[lr.level] + kn)
-			lc.expSeq.set(last)
-		}
-		wc.mark(-1, obs.PhaseExpose, 0)
-		wc.mark(-1, obs.PhaseChunkCopy, int64(k*n))
+		c.chaos().CorruptStaged(stg, k, n)
+		wc.Mark(-1, obs.PhaseChunkCopy, int64(k*n))
+		c.exposeFused(p, v, stg, first, last, kn)
+		wc.Mark(-1, obs.PhaseExpose, 0)
 	} else {
 		ctl := p.pull.ctl
 		served := uint64(0)
 		for served < uint64(k) {
 			e := c.wait(&ctl.expSeq, first+served, rank, c.opBudget(ctl.spinBudget, n))
-			wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
+			wc.MarkFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
 			f := ctl.fuseFirst // re-read: the parent may have re-staged
 			src := ctl.exposed
-			upTo := e
-			if upTo > last {
-				upTo = last
-			}
+			upTo := min(e, last)
 			for q := first + served; q <= upTo; q++ {
 				r := batch[q-first]
 				off := int(q-f) * n
@@ -524,16 +450,12 @@ func (c *Comm) fusedBcast(rank int, batch []*Request) {
 					copy(stg[int(q-first)*n:], r.buf)
 				}
 			}
-			for i := range p.lead {
-				lr := &p.lead[i]
-				lc := lr.ctl
-				lc.exposed = stg
-				lc.fuseFirst = first
-				lc.ready.set(v.cum[lr.level] + (upTo-first+1)*uint64(n))
-				lc.expSeq.set(upTo)
+			wc.Mark(p.pull.level, obs.PhaseChunkCopy, int64(upTo-(first+served)+1)*int64(n))
+			if len(p.lead) > 0 {
+				c.exposeFused(p, v, stg, first, upTo, (upTo-first+1)*uint64(n))
+				wc.Mark(p.pull.level, obs.PhaseExpose, 0)
 			}
 			ctl.acks[p.pull.slot].set(upTo)
-			wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(upTo-(first+served)+1)*int64(n))
 			served = upTo - first + 1
 		}
 	}
@@ -548,12 +470,25 @@ func (c *Comm) fusedBcast(rank int, batch []*Request) {
 			}
 		}
 	}
-	wc.mark(-1, obs.PhaseAck, 0)
+	wc.Mark(-1, obs.PhaseAck, 0)
 	for l := range v.cum {
 		v.cum[l] += kn
 	}
-	wc.finish()
+	wc.Finish()
 	for _, r := range batch {
 		c.completeReq(r)
+	}
+}
+
+// exposeFused publishes the staged sub-ops first..upTo (done bytes of the
+// batch) to every group the rank leads.
+func (c *Comm) exposeFused(p *rankPlan, v *viewSlot, stg []byte, first, upTo, done uint64) {
+	for i := range p.lead {
+		lr := &p.lead[i]
+		lc := lr.ctl
+		lc.exposed = stg
+		lc.fuseFirst = first
+		lc.ready.set(v.cum[lr.level] + done)
+		lc.expSeq.set(upTo)
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Tuning is the subset of Config an online tuner may change on a live
-// communicator (DESIGN.md §17). Knobs fixed at construction (GroupSize —
-// it shapes the hierarchy — and the Spin escape hatch) are absent.
+// communicator (DESIGN.md §17). GroupSize, fixed at construction because
+// it shapes the hierarchy, is absent.
 //
 // Field conventions, mirroring core.Tuning:
 //
@@ -99,12 +99,7 @@ func (c *Comm) applyTuning(t Tuning) {
 	if t.ChunkBytes > 0 {
 		c.cfg.ChunkBytes = t.ChunkBytes
 	}
-	switch {
-	case t.FuseBytes < 0:
-		// keep
-	case t.FuseBytes == 0:
-		c.fuseMax = 0
-	default:
+	if t.FuseBytes >= 0 {
 		c.fuseMax = t.FuseBytes
 	}
 	spinChanged := false

@@ -11,6 +11,7 @@ import "testing"
 // wide group's tail waiter parking once is cheaper than it yielding
 // through the whole fan-in).
 func TestSpinBudgetPolicy(t *testing.T) {
+	c := MustNew(1, Config{})
 	cases := []struct {
 		fanin int
 		want  int
@@ -25,15 +26,15 @@ func TestSpinBudgetPolicy(t *testing.T) {
 		{0, spinProbes * spinScaleMax}, // degenerate inputs clamp, not panic
 		{-3, spinProbes * spinScaleMax},
 	}
-	for _, c := range cases {
-		if got := spinBudgetFor(c.fanin); got != c.want {
-			t.Errorf("spinBudgetFor(%d) = %d, want %d", c.fanin, got, c.want)
+	for _, tc := range cases {
+		if got := c.spinBudgetFor(tc.fanin); got != tc.want {
+			t.Errorf("spinBudgetFor(%d) = %d, want %d", tc.fanin, got, tc.want)
 		}
 	}
 	// Monotone non-increasing in fan-in, never below the parking floor.
-	prev := spinBudgetFor(1)
+	prev := c.spinBudgetFor(1)
 	for f := 2; f <= 4096; f++ {
-		b := spinBudgetFor(f)
+		b := c.spinBudgetFor(f)
 		if b > prev {
 			t.Fatalf("spinBudgetFor(%d) = %d > spinBudgetFor(%d) = %d", f, b, f-1, prev)
 		}
@@ -50,7 +51,8 @@ func TestSpinBudgetPolicy(t *testing.T) {
 // tens-of-microseconds chunk copy steals scheduler slices from the writer
 // (measured 2x on oversubscribed 1 MiB broadcasts).
 func TestOpBudgetPolicy(t *testing.T) {
-	wide := spinBudgetFor(2)
+	c := MustNew(1, Config{})
+	wide := c.spinBudgetFor(2)
 	cases := []struct {
 		nbytes, want int
 	}{
@@ -60,9 +62,9 @@ func TestOpBudgetPolicy(t *testing.T) {
 		{spinLargeBytes, spinProbes},
 		{1 << 20, spinProbes}, // bandwidth-bound
 	}
-	for _, c := range cases {
-		if got := opBudget(wide, c.nbytes); got != c.want {
-			t.Errorf("opBudget(%d, %d) = %d, want %d", wide, c.nbytes, got, c.want)
+	for _, tc := range cases {
+		if got := c.opBudget(wide, tc.nbytes); got != tc.want {
+			t.Errorf("opBudget(%d, %d) = %d, want %d", wide, tc.nbytes, got, tc.want)
 		}
 	}
 }
@@ -82,13 +84,13 @@ func TestGroupCtlBudgetWiring(t *testing.T) {
 	}
 	for l, lvl := range st.groups {
 		for gi, ctl := range lvl {
-			if want := spinBudgetFor(len(ctl.members)); ctl.spinBudget != want {
+			if want := c.spinBudgetFor(len(ctl.members)); ctl.spinBudget != want {
 				t.Errorf("level %d group %d: spinBudget %d, want %d (fanin %d)",
 					l, gi, ctl.spinBudget, want, len(ctl.members))
 			}
 		}
 	}
-	if want := spinBudgetFor(8); c.agBudget != want {
+	if want := c.spinBudgetFor(8); c.agBudget != want {
 		t.Errorf("agBudget %d, want %d", c.agBudget, want)
 	}
 }

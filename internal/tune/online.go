@@ -168,7 +168,7 @@ func RunOnlineSim(platform string, nranks int, o OnlineOpts) (OnlineResult, erro
 // wall-clock here, so the chosen plan varies run to run — the run's
 // invariants (correct data across switches, quiesced application) are
 // what the verify harness pins.
-func RunOnlineGxhc(nranks int, o OnlineOpts, spin bool) (OnlineResult, error) {
+func RunOnlineGxhc(nranks int, o OnlineOpts) (OnlineResult, error) {
 	o = o.defaults()
 	if err := validateOnlineSet(o.Plans); err != nil {
 		return OnlineResult{}, err
@@ -176,7 +176,7 @@ func RunOnlineGxhc(nranks int, o OnlineOpts, spin bool) (OnlineResult, error) {
 	reg := obs.NewRegistry(false)
 	wo := reg.NewWorld("gxhc", nranks, obs.WallTicksPerUS, obs.WallClock())
 	wo.Rec.Backend = "gxhc"
-	comm, err := gxhc.New(nranks, o.Plans[0].GxhcConfig(spin))
+	comm, err := gxhc.New(nranks, o.Plans[0].GxhcConfig())
 	if err != nil {
 		return OnlineResult{}, err
 	}

@@ -331,12 +331,7 @@ func checkConcData(c Case, what string, round int, ins, outs [][][]*mem.Buffer) 
 func runConcGxhc(c Case, chaos *gxhc.ChaosConfig, reg *obs.Registry, deadline time.Duration) error {
 	cc := c.Conc
 	what := "gxhc-conc"
-	gcfg := gxhc.Config{
-		GroupSize:  2 + int(c.CfgSeed%3),
-		ChunkBytes: c.Chunk,
-		Chaos:      chaos,
-	}
-	parent, err := gxhc.New(c.Ranks, gcfg)
+	parent, err := gxhc.New(c.Ranks, c.gxhcConfig(chaos))
 	if err != nil {
 		return err
 	}

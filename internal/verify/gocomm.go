@@ -41,40 +41,14 @@ func gxhcOp(c Case) (gxhc.ReduceOp, bool) {
 // chaos seeds the StaleReady mutant for the self-test (which also forces
 // the straggler, the condition under which the mutant's junk copy is
 // certain).
-//
-// Every clean case runs twice: once with the default parking waiter and
-// once with the Spin escape hatch. Both compare byte-exactly against the
-// same deterministic reference, so the two waiter paths are differentially
-// checked against each other — a waiter bug (missed wakeup, premature
-// release) surfaces as a replayable verify failure naming the mode.
 func runGoComm(c Case, s Schedule, chaos *gxhc.ChaosConfig, reg *obs.Registry) error {
 	if c.Kind == KindAllreduce || c.Kind == KindReduce {
 		if _, ok := gxhcOp(c); !ok {
 			return nil
 		}
 	}
-	if err := runGoCommMode(c, s, chaos, reg, false); err != nil {
-		return err
-	}
-	if chaos != nil {
-		// The mutation self-test only needs one waiter mode.
-		return nil
-	}
-	return runGoCommMode(c, s, nil, reg, true)
-}
-
-func runGoCommMode(c Case, s Schedule, chaos *gxhc.ChaosConfig, reg *obs.Registry, spin bool) error {
-	be := "gxhc"
-	if spin {
-		be = "gxhc-spin"
-	}
-	gcfg := gxhc.Config{
-		GroupSize:  2 + int(c.CfgSeed%3),
-		ChunkBytes: c.Chunk,
-		Spin:       spin,
-		Chaos:      chaos,
-	}
-	comm, err := gxhc.New(c.Ranks, gcfg)
+	const be = "gxhc"
+	comm, err := gxhc.New(c.Ranks, c.gxhcConfig(chaos))
 	if err != nil {
 		return err
 	}

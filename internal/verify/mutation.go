@@ -7,6 +7,7 @@ import (
 	"xhc/internal/core"
 	"xhc/internal/env"
 	"xhc/internal/gxhc"
+	"xhc/internal/proto"
 	"xhc/internal/sim"
 )
 
@@ -67,6 +68,20 @@ func runConcMutant(c Case, chaos *core.ChaosConfig) error {
 	return runConcSim(c, Schedule{}, nil)
 }
 
+// requestMutants are the request-layer bugs, each run on both backends.
+var requestMutants = []struct {
+	name    string
+	mutants proto.Mutants
+}{
+	// Termination: the lane runs the op but drops its completion.
+	{"lost-progress", proto.Mutants{LostProgress: true}},
+	// Data: completion published without running the body; the
+	// per-request byte check sees the junk pre-fill.
+	{"early-complete", proto.Mutants{EarlyComplete: true}},
+	// Data: the fused root rotates every staged sub-op.
+	{"fuse-corrupt", proto.Mutants{FuseCorrupt: true}},
+}
+
 // faultSchedule is the perturbed schedule the clean control runs under:
 // random tie-breaking, wake jitter and the full fault set. The unmutated
 // protocol must survive it.
@@ -125,14 +140,7 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 
 	// Clean controls: FIFO and the full fault schedule.
 	record("clean/fifo", false, runMutant(base, nil))
-	c := base
-	c.Chaos = nil
-	cfg, _ := c.coreConfig()
-	_, err := runSim(c, faultSchedule(), "xhc", nil, func(w *env.World) (coll.Component, *core.Comm, error) {
-		cc, err := core.New(w, cfg)
-		return cc, cc, err
-	})
-	record("clean/faults", false, err)
+	record("clean/faults", false, runMutantSched(base, nil, faultSchedule()))
 
 	// Termination: pure members never ack, leaders deadlock.
 	record("skip-ack", true, runMutant(base, &core.ChaosConfig{SkipAck: true}))
@@ -211,28 +219,23 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	record("tune/clean-switch", false, runMutant(tuneSwitch, nil))
 	record("tune/mid-op-switch", true, runMutant(tune, &core.ChaosConfig{MidOpTune: true}))
 
-	// The non-blocking concurrency runner (DESIGN.md §15): a clean control,
-	// then the three request-layer mutants on the simulated backend. The
-	// payloads sit inside the fusion size class, so the fused traversal is
-	// on the path the mutants corrupt.
+	// The non-blocking concurrency runner (DESIGN.md §15): a clean control
+	// per backend, then every request-layer mutant on both backends — the
+	// simulated one (iconc/, deadlock detector) and the real-concurrency
+	// one (goconc/, wall-clock Test deadline). The payloads sit inside the
+	// fusion size class, so the fused traversal is on the path the mutants
+	// corrupt.
 	conc := concMutationCase()
-	// Termination: the worker runs the op but drops its completion; Wait
-	// suspends forever and the deadlock detector converts it.
 	record("iconc/clean", false, runConcMutant(conc, nil))
-	record("iconc/lost-progress", true, runConcMutant(conc, &core.ChaosConfig{LostProgress: true}))
-	// Data: completion published without running the body; the per-request
-	// byte check sees the junk pre-fill.
-	record("iconc/early-complete", true, runConcMutant(conc, &core.ChaosConfig{EarlyComplete: true}))
-	// Data: the fused root stages sub-ops into swapped batch slots.
-	record("iconc/fuse-corrupt", true, runConcMutant(conc, &core.ChaosConfig{FuseCorrupt: true}))
-
-	// The same three on the real-concurrency backend. None of them injects
-	// a data race (unlike StaleReady), so they run under the race detector
-	// too; lost progress is caught by the wall-clock Test deadline.
 	record("goconc/clean", false, runConcGxhc(conc, nil, nil, concCleanDeadline))
-	record("goconc/lost-progress", true, runConcGxhc(conc, &gxhc.ChaosConfig{LostProgress: true}, nil, concMutantDeadline))
-	record("goconc/early-complete", true, runConcGxhc(conc, &gxhc.ChaosConfig{EarlyComplete: true}, nil, concCleanDeadline))
-	record("goconc/fuse-corrupt", true, runConcGxhc(conc, &gxhc.ChaosConfig{FuseCorrupt: true}, nil, concCleanDeadline))
+	for _, m := range requestMutants {
+		record("iconc/"+m.name, true, runConcMutant(conc, &core.ChaosConfig{Mutants: m.mutants}))
+		deadline := concCleanDeadline
+		if m.mutants.LostProgress {
+			deadline = concMutantDeadline // any timeout is the catch
+		}
+		record("goconc/"+m.name, true, runConcGxhc(conc, &gxhc.ChaosConfig{Mutants: m.mutants}, nil, deadline))
+	}
 
 	if includeGoComm {
 		gc := base

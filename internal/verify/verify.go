@@ -380,6 +380,12 @@ func (c Case) coreConfig() (core.Config, error) {
 	return cfg, nil
 }
 
+// gxhcConfig builds the real-concurrency backend configuration a case
+// describes, seeded with the given mutant (nil for none).
+func (c Case) gxhcConfig(chaos *gxhc.ChaosConfig) gxhc.Config {
+	return gxhc.Config{GroupSize: 2 + int(c.CfgSeed%3), ChunkBytes: c.Chunk, Chaos: chaos}
+}
+
 // Schedule is one replayable perturbation of the event order: a seeded
 // tie-breaker over simultaneous events, optional wake-delay jitter, and
 // optional fault injection (stragglers, compute jitter, registration-cache
