@@ -234,8 +234,12 @@ func TestFlatConfig(t *testing.T) {
 // livelock because the ranks holding the next counter update never get
 // scheduled. 64 ranks on GOMAXPROCS=2 must promptly finish all six
 // collectives — the parking waiter takes oversubscribed waiters off the
-// scheduler entirely.
+// scheduler entirely. The subtest is named after that waiter.
 func TestOversubscribedProgress(t *testing.T) {
+	t.Run("park", oversubscribedProgress)
+}
+
+func oversubscribedProgress(t *testing.T) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
 
