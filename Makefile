@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: loc build test vet race verify verify-cluster fuzz-smoke harness-checks telemetry-check cluster-check tune-check check bench bench-sim bench-gxhc bench-cluster bench-overlap bench-obs bench-tune quick-report
+.PHONY: loc build test vet race verify verify-cluster fuzz-smoke harness-checks telemetry-check cluster-check tune-check check bench bench-sim bench-gxhc bench-cluster bench-overlap bench-obs bench-tune quick-report quick-golden
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzGoCommIallreduceOverlap -fuzztime 5s -run '^$$' ./internal/gxhc/
 	$(GO) test -fuzz FuzzHierarchyBuild -fuzztime 5s -run '^$$' ./internal/hier/
 	$(GO) test -fuzz FuzzPlanFile -fuzztime 5s -run '^$$' ./internal/tune/
+	$(GO) test -fuzz FuzzLocalResolve -fuzztime 5s -run '^$$' ./internal/mem/
 
 # Oversubscription regression (waiter starvation — plus a race pass over
 # the parking handshake under the same thread starvation), the
@@ -203,3 +204,9 @@ bench-tune:
 
 quick-report:
 	$(GO) run ./cmd/xhcrepro -quick -o EXPERIMENTS_quick.txt
+
+# Re-baseline the quick report TestAllExperimentsQuick pins byte for byte.
+# Only a deliberate model or protocol change may move it; commit the diff
+# with the change that explains it.
+quick-golden:
+	$(GO) run ./cmd/xhcrepro -quick -o internal/exper/testdata/quick_report.md

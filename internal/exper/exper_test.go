@@ -1,13 +1,21 @@
 package exper
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
 
+// quickGolden is the committed `xhcrepro -quick` report; regenerate it
+// with `make quick-golden`.
+const quickGolden = "testdata/quick_report.md"
+
 // TestAllExperimentsQuick runs every experiment in quick mode and checks
 // the paper's qualitative claims against the produced metrics. This is the
-// repository's end-to-end reproduction gate.
+// repository's end-to-end reproduction gate: the rendered document must
+// also equal the committed quick report byte for byte, so no simulated
+// number moves without a deliberate re-baseline.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take tens of seconds")
@@ -15,6 +23,9 @@ func TestAllExperimentsQuick(t *testing.T) {
 	doc, reports, err := RenderAll(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := sameAsGolden(doc); err != nil {
+		t.Error(err)
 	}
 	if len(reports) != len(All()) {
 		t.Fatalf("reports = %d, want %d", len(reports), len(All()))
@@ -153,6 +164,33 @@ func TestAllExperimentsQuick(t *testing.T) {
 			t.Errorf("document missing section %s", id)
 		}
 	}
+}
+
+// sameAsGolden compares doc with the committed quick report and names
+// the first line that differs.
+func sameAsGolden(doc string) error {
+	want, err := os.ReadFile(quickGolden)
+	if err != nil {
+		return err
+	}
+	if doc == string(want) {
+		return nil
+	}
+	got, exp := strings.Split(doc, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var g, e string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			e = exp[i]
+		}
+		if g != e {
+			return fmt.Errorf("quick report differs from %s at line %d:\n got: %q\nwant: %q\n(re-baseline with `make quick-golden` only for a deliberate model change)",
+				quickGolden, i+1, g, e)
+		}
+	}
+	return fmt.Errorf("quick report differs from %s", quickGolden)
 }
 
 func TestRegistryShape(t *testing.T) {

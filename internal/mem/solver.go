@@ -15,10 +15,15 @@ type rateSolver struct {
 	res []*resource
 	gen uint64
 
-	// FastPath counts solves resolved by the single-flow fast path;
-	// Fallbacks counts rounds where the freeze loop made no progress and
-	// everything was frozen at the current bound (numerical corner).
+	// Calls counts non-empty solves; FastPath counts those resolved by
+	// the single-flow fast path; Flows and Rounds sum the flows handed to
+	// the freeze loop and the rounds it ran; Fallbacks counts rounds where
+	// the freeze loop made no progress and everything was frozen at the
+	// current bound (numerical corner).
+	Calls     int64
 	FastPath  int64
+	Flows     int64
+	Rounds    int64
 	Fallbacks int64
 }
 
@@ -31,6 +36,7 @@ func (rs *rateSolver) solve(flows []*flow) {
 	if len(flows) == 0 {
 		return
 	}
+	rs.Calls++
 	if len(flows) == 1 {
 		// Fast path: a lone flow runs at its most constrained resource (or
 		// its private cap) — no scratch setup, no iteration.
@@ -73,6 +79,7 @@ func (rs *rateSolver) solve(flows []*flow) {
 		}
 	}
 	rs.res = resList
+	rs.Flows += int64(len(flows))
 	for _, f := range flows {
 		for _, r := range f.res {
 			r.undecided++
@@ -80,6 +87,7 @@ func (rs *rateSolver) solve(flows []*flow) {
 	}
 	undecided := len(flows)
 	for undecided > 0 {
+		rs.Rounds++
 		// Most constrained resource (or flow cap) first.
 		best := math.Inf(1)
 		for _, r := range resList {

@@ -38,6 +38,20 @@ type System struct {
 	flowSeq     int
 	bufSeq      int
 
+	// connected, walkGen, stack and comp serve the component-local
+	// re-solve (flows.go): whether the active set is known to be one
+	// component, the walk's generation stamp, and its pooled resource
+	// stack and component list.
+	connected bool
+	walkGen   uint64
+	stack     []*resource
+	comp      []*flow
+
+	// onReschedule, when set, runs after every reschedule. The solver
+	// oracle tests use it to compare each re-solve against a from-scratch
+	// solve.
+	onReschedule func()
+
 	// CMALock and KNEMLock model the kernel-internal locks of the CMA and
 	// KNEM single-copy mechanisms; concurrent callers serialize on them.
 	CMALock  *Queue
@@ -84,11 +98,17 @@ type Stats struct {
 	// per-communicator, not per-operation (bounded control memory).
 	LinesAllocated int64
 
-	// SolverFastPath counts rate solves resolved by the single-flow fast
-	// path; SolverFallbacks counts times the
-	// numerical-corner fallback froze flows at the current bound — nonzero
-	// values there signal calibration drift worth investigating.
+	// SolverCalls counts rate solves, one per re-solved component.
+	// SolverFastPath counts those resolved by the lone-flow fast path: a
+	// flow alone in its component. SolverFlows sums the flows the other
+	// solves handed to the freeze loop, and SolverRounds counts that
+	// loop's rounds. SolverFallbacks counts times the numerical-corner
+	// fallback froze flows at the current bound — nonzero values there
+	// signal calibration drift worth investigating.
+	SolverCalls     int64
 	SolverFastPath  int64
+	SolverFlows     int64
+	SolverRounds    int64
 	SolverFallbacks int64
 }
 

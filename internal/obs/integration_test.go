@@ -166,8 +166,8 @@ func TestCollectorAndRegistryAgree(t *testing.T) {
 
 // TestSnapshotSingleCall pins the acceptance criterion that one Snapshot
 // call exposes the previously scattered counters: registration-cache hit
-// ratio, flow-solver fast-path/fallback counts, and per-distance message
-// counts.
+// ratio, flow-solver call/fast-path/flow/round/fallback counts, and
+// per-distance message counts.
 func TestSnapshotSingleCall(t *testing.T) {
 	reg := observe(t, false)
 	runBcast(t, 64<<10, nil)
@@ -175,6 +175,7 @@ func TestSnapshotSingleCall(t *testing.T) {
 	for _, name := range []string{
 		"regcache.hits", "regcache.misses", "regcache.hit_ratio",
 		"mem.solver_fastpath", "mem.solver_fallbacks",
+		"mem.solver_calls", "mem.solver_flows", "mem.solver_rounds",
 		"mem.flows_started", "mem.bytes_moved",
 		"engine.events_run",
 	} {

@@ -317,7 +317,10 @@ func (r *Registry) Snapshot() Snapshot {
 	add("mem.max_concurrent_flows", float64(a.mem.MaxConcurrent))
 	add("mem.flow_spans", float64(a.flowCount))
 	add("mem.flow_time_us", float64(a.flowTimePS)/SimTicksPerUS)
+	add("mem.solver_calls", float64(a.mem.SolverCalls))
 	add("mem.solver_fastpath", float64(a.mem.SolverFastPath))
+	add("mem.solver_flows", float64(a.mem.SolverFlows))
+	add("mem.solver_rounds", float64(a.mem.SolverRounds))
 	add("mem.solver_fallbacks", float64(a.mem.SolverFallbacks))
 	add("mem.line_fetches", float64(a.mem.LineFetches))
 	add("mem.line_hits", float64(a.mem.LineHits))
@@ -493,7 +496,10 @@ func (w *World) Finish(ms mem.Stats, es sim.EngineStats) {
 	a.mem.QueueWaitPS += ms.QueueWaitPS
 	a.mem.LineWaits += ms.LineWaits
 	a.mem.MaxLineWaiters = max(a.mem.MaxLineWaiters, ms.MaxLineWaiters)
+	a.mem.SolverCalls += ms.SolverCalls
 	a.mem.SolverFastPath += ms.SolverFastPath
+	a.mem.SolverFlows += ms.SolverFlows
+	a.mem.SolverRounds += ms.SolverRounds
 	a.mem.SolverFallbacks += ms.SolverFallbacks
 	a.cache.Hits += w.cache.Hits
 	a.cache.Misses += w.cache.Misses

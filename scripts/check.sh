@@ -31,14 +31,17 @@ go run ./cmd/xhcverify -cluster -quick
 # Short fuzz smoke: the seed corpora plus a few seconds of mutation on the
 # goroutine-backed allreduce, rooted reduce, allgather, the non-blocking
 # request layer (random Test/Wait interleavings over 2-4 overlapped
-# Iallreduces per rank) and the hierarchy builder. The race pass above
-# already covers the gxhc non-blocking tests.
+# Iallreduces per rank), the hierarchy builder, the tuner's plan-file
+# parser and the component-local flow re-solve (random flow arrivals and
+# departures, each checked against a from-scratch solve of its component).
+# The race pass above already covers the gxhc non-blocking tests.
 go test -fuzz FuzzGoCommAllreduce -fuzztime 5s -run '^$' ./internal/gxhc/
 go test -fuzz FuzzGoCommReduce -fuzztime 5s -run '^$' ./internal/gxhc/
 go test -fuzz FuzzGoCommAllgather -fuzztime 5s -run '^$' ./internal/gxhc/
 go test -fuzz FuzzGoCommIallreduceOverlap -fuzztime 5s -run '^$' ./internal/gxhc/
 go test -fuzz FuzzHierarchyBuild -fuzztime 5s -run '^$' ./internal/hier/
 go test -fuzz FuzzPlanFile -fuzztime 5s -run '^$' ./internal/tune/
+go test -fuzz FuzzLocalResolve -fuzztime 5s -run '^$' ./internal/mem/
 
 # The oversubscription regression (waiter starvation) under a thread
 # budget far below the rank count; the test sets GOMAXPROCS itself, but
