@@ -20,13 +20,14 @@ vet:
 test:
 	$(GO) test -shuffle=on ./...
 
-# The simulator itself is single-threaded per world, but gxhc (the real
-# goroutine-backed library), env (cross-world harness plumbing) and verify
-# (the schedule-exploration checker, which drives gxhc) exercise real
+# The simulator runs one party per world at a time, but a sharded cluster
+# resumes a world's process coroutines from several worker goroutines (sim,
+# env); gxhc (the real goroutine-backed library) and verify (the
+# schedule-exploration checker, which drives gxhc) exercise real
 # concurrency, and exper fans independent experiment cells out across
 # worker goroutines — so those run under the race detector.
 race:
-	$(GO) test -race ./internal/gxhc/ ./internal/env/ ./internal/verify/
+	$(GO) test -race ./internal/sim/ ./internal/gxhc/ ./internal/env/ ./internal/verify/
 	$(GO) test -race -run 'Online' ./internal/tune/
 
 # Schedule-exploration checker: randomized configurations x seeded
@@ -144,6 +145,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 bench-sim:
+	$(GO) test -run '^$$' -bench 'BenchmarkProcHandoff' -benchmem ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkFlowSolver|BenchmarkReschedule' -benchmem ./internal/mem/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig08Bcast/ARM-N1/xhc-tree$$|BenchmarkFig11Allreduce/ARM-N1/(xhc-tree|xbrc)$$' -benchtime 10x -benchmem .
 

@@ -241,6 +241,7 @@ func (cw *ClusterWorld) Run(body func(p *Proc, node int)) error {
 		cw.runShards(done, errs)
 		for _, err := range errs {
 			if err != nil {
+				cw.abandon()
 				return err
 			}
 		}
@@ -255,7 +256,9 @@ func (cw *ClusterWorld) Run(body func(p *Proc, node int)) error {
 			break
 		}
 		if !cw.sequentialPhase() {
-			return cw.deadlockError()
+			err := cw.deadlockError()
+			cw.abandon()
+			return err
 		}
 	}
 	var recs []*obs.OpRecorder
@@ -277,6 +280,14 @@ func (cw *ClusterWorld) Run(body func(p *Proc, node int)) error {
 		obs.ScanCluster(recs)
 	}
 	return nil
+}
+
+// abandon releases the suspended procs of every shard once the cluster
+// has failed or deadlocked for good.
+func (cw *ClusterWorld) abandon() {
+	for _, w := range cw.Nodes {
+		w.Sys.Eng.Abandon()
+	}
 }
 
 // runShards runs every shard with pending events until it blocks or

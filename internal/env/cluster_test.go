@@ -2,6 +2,8 @@ package env
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"xhc/internal/mem"
@@ -105,11 +107,13 @@ func TestClusterHarnessBarrier(t *testing.T) {
 }
 
 // TestClusterDeadlockReported pins that an unmatched receive surfaces as a
-// cluster deadlock error rather than a hang.
+// cluster deadlock error rather than a hang, that the report names the
+// stuck proc, and that no proc's goroutine outlives the failed run.
 func TestClusterDeadlockReported(t *testing.T) {
 	cl, m := testCluster(t, 2, 1)
 	cw := NewClusterWorldDefault(cl, m)
 	cw.Workers = 1
+	base := runtime.NumGoroutine()
 	err := cw.Run(func(p *Proc, node int) {
 		if node == 1 {
 			b := p.NewBuffer("dst", 8)
@@ -118,6 +122,12 @@ func TestClusterDeadlockReported(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected cluster deadlock error")
+	}
+	if !strings.Contains(err.Error(), "n1r0(#0): fabric recv") {
+		t.Errorf("deadlock report does not name the stuck receiver:\n%v", err)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after the deadlocked run, %d before", got, base)
 	}
 }
 

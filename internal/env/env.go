@@ -74,7 +74,7 @@ func NewWorldParams(t *topo.Topology, m topo.Mapping, params mem.Params) *World 
 // tracer on the engine's virtual clock (when the registry has tracing
 // enabled), a per-distance message tally, and a flow-attribution hook on
 // the memory system. Call it once at program start, before any worlds are
-// created; the Observer runs during construction, before rank goroutines
+// created; the Observer runs during construction, before rank processes
 // exist, so no synchronization is needed on the World side.
 func ObserveWorlds(reg *obs.Registry) {
 	Observer = func(w *World) {
@@ -89,7 +89,7 @@ func ObserveWorlds(reg *obs.Registry) {
 // the world folds its counters into the registry. Components (the XHC
 // communicator, most notably) use it to contribute end-of-run state such
 // as registration-cache statistics. No-op ordering hazards: flush functions
-// run on the caller of Run, after all rank goroutines have finished. On a
+// run on the caller of Run, after all rank processes have finished. On a
 // Subset world the registration is forwarded to the root parent, whose Run
 // is the one that actually drains the shared engine.
 func (w *World) OnObsFlush(fn func(*obs.World)) {

@@ -81,6 +81,14 @@ func (o Op) String() string {
 // ReduceBytes applies dst[i] = dst[i] op src[i] elementwise over two
 // equally sized byte slices interpreted as dt. Lengths must be equal and a
 // multiple of the element size.
+//
+// Each datatype x op pair has its own loop, so the op is decided once per
+// call rather than once per element. Integer sum and product wrap in the
+// element width, integer min/max compare signed values (bytes unsigned),
+// float32 folds in float64 and rounds back, and float min/max are
+// math.Min/math.Max (NaN propagates, -0 orders below +0). dtype_test.go
+// checks every pair bit for bit against a one-element-at-a-time
+// definition.
 func ReduceBytes(op Op, dt Datatype, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("mpi: reduce length mismatch %d != %d", len(dst), len(src)))
@@ -89,70 +97,139 @@ func ReduceBytes(op Op, dt Datatype, dst, src []byte) {
 	if len(dst)%es != 0 {
 		panic(fmt.Sprintf("mpi: reduce length %d not a multiple of %s", len(dst), dt))
 	}
+	if op < Sum || op > Max {
+		panic(fmt.Sprintf("mpi: unknown op %d", int(op)))
+	}
 	switch dt {
 	case Byte:
-		for i := range dst {
-			dst[i] = byte(reduceI64(op, int64(dst[i]), int64(src[i])))
-		}
+		reduceByte(op, dst, src)
 	case Int32:
-		for i := 0; i+4 <= len(dst); i += 4 {
-			a := int32(binary.LittleEndian.Uint32(dst[i:]))
-			b := int32(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], uint32(int32(reduceI64(op, int64(a), int64(b)))))
-		}
+		reduceInt32(op, dst, src)
 	case Int64:
-		for i := 0; i+8 <= len(dst); i += 8 {
-			a := int64(binary.LittleEndian.Uint64(dst[i:]))
-			b := int64(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], uint64(reduceI64(op, a, b)))
-		}
+		reduceInt64(op, dst, src)
 	case Float32:
-		for i := 0; i+4 <= len(dst); i += 4 {
-			a := math.Float32frombits(binary.LittleEndian.Uint32(dst[i:]))
-			b := math.Float32frombits(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], math.Float32bits(float32(reduceF64(op, float64(a), float64(b)))))
-		}
+		reduceFloat32(op, dst, src)
 	case Float64:
+		reduceFloat64(op, dst, src)
+	}
+}
+
+func reduceByte(op Op, dst, src []byte) {
+	src = src[:len(dst)]
+	switch op {
+	case Sum:
+		for i := range dst {
+			dst[i] += src[i]
+		}
+	case Prod:
+		for i := range dst {
+			dst[i] *= src[i]
+		}
+	case Min:
+		for i := range dst {
+			dst[i] = min(dst[i], src[i])
+		}
+	case Max:
+		for i := range dst {
+			dst[i] = max(dst[i], src[i])
+		}
+	}
+}
+
+func reduceInt32(op Op, dst, src []byte) {
+	le := binary.LittleEndian
+	switch op {
+	case Sum:
+		for i := 0; i+4 <= len(dst); i += 4 {
+			le.PutUint32(dst[i:], le.Uint32(dst[i:])+le.Uint32(src[i:]))
+		}
+	case Prod:
+		for i := 0; i+4 <= len(dst); i += 4 {
+			le.PutUint32(dst[i:], le.Uint32(dst[i:])*le.Uint32(src[i:]))
+		}
+	case Min:
+		for i := 0; i+4 <= len(dst); i += 4 {
+			a, b := int32(le.Uint32(dst[i:])), int32(le.Uint32(src[i:]))
+			le.PutUint32(dst[i:], uint32(min(a, b)))
+		}
+	case Max:
+		for i := 0; i+4 <= len(dst); i += 4 {
+			a, b := int32(le.Uint32(dst[i:])), int32(le.Uint32(src[i:]))
+			le.PutUint32(dst[i:], uint32(max(a, b)))
+		}
+	}
+}
+
+func reduceInt64(op Op, dst, src []byte) {
+	le := binary.LittleEndian
+	switch op {
+	case Sum:
 		for i := 0; i+8 <= len(dst); i += 8 {
-			a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-			b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(reduceF64(op, a, b)))
+			le.PutUint64(dst[i:], le.Uint64(dst[i:])+le.Uint64(src[i:]))
+		}
+	case Prod:
+		for i := 0; i+8 <= len(dst); i += 8 {
+			le.PutUint64(dst[i:], le.Uint64(dst[i:])*le.Uint64(src[i:]))
+		}
+	case Min:
+		for i := 0; i+8 <= len(dst); i += 8 {
+			a, b := int64(le.Uint64(dst[i:])), int64(le.Uint64(src[i:]))
+			le.PutUint64(dst[i:], uint64(min(a, b)))
+		}
+	case Max:
+		for i := 0; i+8 <= len(dst); i += 8 {
+			a, b := int64(le.Uint64(dst[i:])), int64(le.Uint64(src[i:]))
+			le.PutUint64(dst[i:], uint64(max(a, b)))
 		}
 	}
 }
 
-func reduceI64(op Op, a, b int64) int64 {
+func reduceFloat32(op Op, dst, src []byte) {
+	le := binary.LittleEndian
+	ld := func(b []byte) float64 { return float64(math.Float32frombits(le.Uint32(b))) }
+	st := func(b []byte, v float64) { le.PutUint32(b, math.Float32bits(float32(v))) }
 	switch op {
 	case Sum:
-		return a + b
+		for i := 0; i+4 <= len(dst); i += 4 {
+			st(dst[i:], ld(dst[i:])+ld(src[i:]))
+		}
 	case Prod:
-		return a * b
+		for i := 0; i+4 <= len(dst); i += 4 {
+			st(dst[i:], ld(dst[i:])*ld(src[i:]))
+		}
 	case Min:
-		if b < a {
-			return b
+		for i := 0; i+4 <= len(dst); i += 4 {
+			st(dst[i:], math.Min(ld(dst[i:]), ld(src[i:])))
 		}
-		return a
 	case Max:
-		if b > a {
-			return b
+		for i := 0; i+4 <= len(dst); i += 4 {
+			st(dst[i:], math.Max(ld(dst[i:]), ld(src[i:])))
 		}
-		return a
 	}
-	panic(fmt.Sprintf("mpi: unknown op %d", int(op)))
 }
 
-func reduceF64(op Op, a, b float64) float64 {
+func reduceFloat64(op Op, dst, src []byte) {
+	le := binary.LittleEndian
+	ld := func(b []byte) float64 { return math.Float64frombits(le.Uint64(b)) }
+	st := func(b []byte, v float64) { le.PutUint64(b, math.Float64bits(v)) }
 	switch op {
 	case Sum:
-		return a + b
+		for i := 0; i+8 <= len(dst); i += 8 {
+			st(dst[i:], ld(dst[i:])+ld(src[i:]))
+		}
 	case Prod:
-		return a * b
+		for i := 0; i+8 <= len(dst); i += 8 {
+			st(dst[i:], ld(dst[i:])*ld(src[i:]))
+		}
 	case Min:
-		return math.Min(a, b)
+		for i := 0; i+8 <= len(dst); i += 8 {
+			st(dst[i:], math.Min(ld(dst[i:]), ld(src[i:])))
+		}
 	case Max:
-		return math.Max(a, b)
+		for i := 0; i+8 <= len(dst); i += 8 {
+			st(dst[i:], math.Max(ld(dst[i:]), ld(src[i:])))
+		}
 	}
-	panic(fmt.Sprintf("mpi: unknown op %d", int(op)))
 }
 
 // EncodeFloat64s packs values into buf (for tests and applications).

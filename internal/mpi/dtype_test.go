@@ -1,6 +1,9 @@
 package mpi
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -142,5 +145,149 @@ func TestReduceProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// reduceBytesScalar is the one-element-at-a-time definition of ReduceBytes
+// (its implementation before the per-op loops): the oracle the typed
+// kernels must match bit for bit.
+func reduceBytesScalar(op Op, dt Datatype, dst, src []byte) {
+	switch dt {
+	case Byte:
+		for i := range dst {
+			dst[i] = byte(scalarI64(op, int64(dst[i]), int64(src[i])))
+		}
+	case Int32:
+		for i := 0; i+4 <= len(dst); i += 4 {
+			a := int32(binary.LittleEndian.Uint32(dst[i:]))
+			b := int32(binary.LittleEndian.Uint32(src[i:]))
+			binary.LittleEndian.PutUint32(dst[i:], uint32(int32(scalarI64(op, int64(a), int64(b)))))
+		}
+	case Int64:
+		for i := 0; i+8 <= len(dst); i += 8 {
+			a := int64(binary.LittleEndian.Uint64(dst[i:]))
+			b := int64(binary.LittleEndian.Uint64(src[i:]))
+			binary.LittleEndian.PutUint64(dst[i:], uint64(scalarI64(op, a, b)))
+		}
+	case Float32:
+		for i := 0; i+4 <= len(dst); i += 4 {
+			a := math.Float32frombits(binary.LittleEndian.Uint32(dst[i:]))
+			b := math.Float32frombits(binary.LittleEndian.Uint32(src[i:]))
+			binary.LittleEndian.PutUint32(dst[i:], math.Float32bits(float32(scalarF64(op, float64(a), float64(b)))))
+		}
+	case Float64:
+		for i := 0; i+8 <= len(dst); i += 8 {
+			a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
+			b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
+			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(scalarF64(op, a, b)))
+		}
+	}
+}
+
+func scalarI64(op Op, a, b int64) int64 {
+	switch op {
+	case Sum:
+		return a + b
+	case Prod:
+		return a * b
+	case Min:
+		if b < a {
+			return b
+		}
+		return a
+	case Max:
+		if b > a {
+			return b
+		}
+		return a
+	}
+	panic("unknown op")
+}
+
+func scalarF64(op Op, a, b float64) float64 {
+	switch op {
+	case Sum:
+		return a + b
+	case Prod:
+		return a * b
+	case Min:
+		return math.Min(a, b)
+	case Max:
+		return math.Max(a, b)
+	}
+	panic("unknown op")
+}
+
+// specialBits are element bit patterns mixed into the random operands:
+// quiet and signalling NaNs of both signs, infinities, signed zeros,
+// denormals and the integer extremes.
+var specialBits = []uint64{
+	0, 1 << 63, // +0, -0 (float64); 0, MinInt64
+	0x7ff0000000000000, 0xfff0000000000000, // +-Inf
+	0x7ff8000000000000, 0xfff8000000000001, 0x7ff0000000000001, // NaNs
+	1, 0x8000000000000001, // smallest denormals
+	math.MaxInt64, 1<<64 - 1, // MaxInt64, -1
+	0x3ff0000000000000, 0xc000000000000000, // 1.0, -2.0
+	0x7f800000, 0xff800000, 0x7fc00000, 0xffc00001, 0x7f800001, 0x80000000, // float32 specials
+	0x7fffffff, 0xffffffff, 0xff, 0x80,
+}
+
+// TestReduceBytesMatchesScalar property-checks every datatype x op pair,
+// for 0..257 elements, against the scalar definition, bit for bit. Half of
+// the elements are drawn from specialBits (truncated to the element size).
+func TestReduceBytesMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	fill := func(buf []byte, es int) {
+		for i := 0; i+es <= len(buf); i += es {
+			v := rng.Uint64()
+			if rng.Intn(2) == 0 {
+				v = specialBits[rng.Intn(len(specialBits))]
+			}
+			for k := 0; k < es; k++ {
+				buf[i+k] = byte(v >> (8 * k))
+			}
+		}
+	}
+	for _, dt := range []Datatype{Byte, Int32, Int64, Float32, Float64} {
+		for _, op := range []Op{Sum, Prod, Min, Max} {
+			es := dt.Size()
+			for n := 0; n <= 257; n++ {
+				dst, src := make([]byte, n*es), make([]byte, n*es)
+				fill(dst, es)
+				fill(src, es)
+				want := append([]byte(nil), dst...)
+				reduceBytesScalar(op, dt, want, src)
+				ReduceBytes(op, dt, dst, src)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s %s, %d elements: typed kernel differs from the scalar definition", dt, op, n)
+				}
+			}
+		}
+	}
+}
+
+func TestReduceUnknownOpPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for an unknown op")
+		}
+	}()
+	ReduceBytes(Op(9), Float64, make([]byte, 8), make([]byte, 8))
+}
+
+// BenchmarkReduceBytes compares the typed kernel with the scalar
+// definition on a 64 KiB float64 sum, the allreduce hot path.
+func BenchmarkReduceBytes(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		fn   func(Op, Datatype, []byte, []byte)
+	}{{"typed", ReduceBytes}, {"scalar", reduceBytesScalar}} {
+		b.Run(fmt.Sprintf("%s/float64-sum-64KiB", c.name), func(b *testing.B) {
+			dst, src := make([]byte, 64<<10), make([]byte, 64<<10)
+			b.SetBytes(int64(len(dst)))
+			for i := 0; i < b.N; i++ {
+				c.fn(Sum, Float64, dst, src)
+			}
+		})
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Engine is the discrete-event scheduler. It is not safe for concurrent
-// use from multiple goroutines except through the Proc handshake, which
-// guarantees that only one party runs at a time.
+// use: only one party (the engine or one process) runs at a time, and
+// while a run is idle any single goroutine may resume it.
 type Engine struct {
 	now  Time
 	seq  uint64
@@ -101,12 +101,11 @@ func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 // current virtual time, after already-pending events at this timestamp.
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
-		ID:     len(e.procs),
-		Name:   name,
-		eng:    e,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
+		ID:   len(e.procs),
+		Name: name,
+		eng:  e,
 	}
+	p.start(fn)
 	// One reusable closure per process: Sleep/YieldStep re-arm stepFn and
 	// Wake re-arms wakeFn on every call, so the simulation hot loop
 	// schedules events without allocating.
@@ -119,7 +118,6 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 	}
 	e.procs = append(e.procs, p)
 	e.live++
-	go p.run(fn)
 	e.At(e.now, func() { e.step(p) })
 	return p
 }
@@ -129,8 +127,7 @@ func (e *Engine) step(p *Proc) {
 	if p.finished {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 	if p.finished {
 		e.live--
 	}
@@ -150,14 +147,16 @@ func (e *Engine) fail(err error) {
 func (e *Engine) Run() error {
 	for {
 		if e.stopping {
-			e.drainProcs()
+			e.Abandon()
 			return e.failure
 		}
 		if e.heap.Len() == 0 {
 			if e.live == 0 {
 				return e.failure
 			}
-			return e.deadlockError()
+			err := e.deadlockError()
+			e.Abandon()
+			return err
 		}
 		ev := e.heap.pop()
 		e.now = ev.at
@@ -183,7 +182,6 @@ func (e *Engine) Run() error {
 func (e *Engine) RunUntilBlocked() (done bool, err error) {
 	for {
 		if e.stopping {
-			e.drainProcs()
 			return true, e.failure
 		}
 		if e.heap.Len() == 0 {
@@ -214,13 +212,27 @@ func (e *Engine) Live() int { return e.live }
 // use it to aggregate a cross-shard deadlock report.
 func (e *Engine) BlockedError() error { return e.deadlockError() }
 
-// drainProcs unblocks goroutines of unfinished procs so they can exit.
-// After a failure we simply abandon them: they stay parked on their resume
-// channel and become garbage once the engine is dropped. (Goroutines
-// blocked on a channel with no other reference are collected by the Go
-// runtime's deadlock-free shutdown at process exit; within tests the
-// leaked goroutines are inert.)
-func (e *Engine) drainProcs() {}
+// Abandon releases every unfinished process after a run that will not be
+// resumed, so no coroutine stays parked once the engine is dropped. Run
+// calls it when it fails or deadlocks; a sharded coordinator calls it on
+// each shard once the cluster has failed or deadlocked for good
+// (RunUntilBlocked leaves blocked processes alone, since a blocked shard is
+// not final there). Render any report first: afterwards every process
+// counts as finished.
+//
+// Stopping a suspended coroutine makes its pending yield return false;
+// yieldToEngine then panics with errStopped, the process function's defers
+// run, and run swallows the sentinel. A process that never started simply
+// never runs.
+func (e *Engine) Abandon() {
+	for i := 0; i < len(e.procs); i++ { // an unwinding defer may spawn
+		if p := e.procs[i]; !p.finished {
+			p.stop()
+			p.finished = true
+		}
+	}
+	e.live = 0
+}
 
 // deadlockError reports which processes are stuck and why.
 func (e *Engine) deadlockError() error {

@@ -1,22 +1,35 @@
+//go:build go1.23
+
+// The go1.23 constraint raises this file's language version above the
+// module's go 1.22 so it may use package iter (coroutines via iter.Pull).
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// Proc is a simulated process. Its function runs on a dedicated goroutine,
-// but only while the engine has handed it control; every blocking method
-// returns control to the engine.
+// Proc is a simulated process. Its function runs as a coroutine (iter.Pull)
+// and only while the engine has handed it control; every blocking method
+// returns control to the engine. A hand-off in either direction is a
+// direct coroutine switch that never passes through the Go scheduler's run
+// queue.
+//
+// A process function that calls runtime.Goexit ends the goroutine that
+// resumed it (the one running the engine), because iter.Pull propagates
+// Goexit to its caller.
 type Proc struct {
 	ID   int
 	Name string
 
 	eng    *Engine
-	resume chan struct{}
-	yield  chan struct{}
-	stepFn func()       // reusable e.step(p) closure, set by Engine.Go
-	wakeFn func(uint64) // reusable token-checked wake closure, set by Engine.Go
+	next   func() (struct{}, bool) // resumes the coroutine; set by Engine.Go
+	stop   func()                  // unwinds a suspended coroutine (Abandon)
+	yield  func(struct{}) bool     // the coroutine's way back to the engine
+	stepFn func()                  // reusable e.step(p) closure, set by Engine.Go
+	wakeFn func(uint64)            // reusable token-checked wake closure, set by Engine.Go
 
 	finished   bool
 	waitReason string
@@ -33,24 +46,35 @@ type Proc struct {
 	suspended    bool
 }
 
-// run is the goroutine body wrapping the user function.
-func (p *Proc) run(fn func(*Proc)) {
-	<-p.resume
-	defer func() {
-		if r := recover(); r != nil {
-			p.eng.fail(fmt.Errorf("sim: process %s(#%d) panicked: %v\n%s",
-				p.Name, p.ID, r, debug.Stack()))
-		}
-		p.finished = true
-		p.yield <- struct{}{}
-	}()
-	fn(p)
+// errStopped is the panic value yieldToEngine raises when the engine
+// abandons a suspended process (Abandon): it unwinds the process function,
+// running its defers, and run treats it as a clean exit. It points to a
+// non-zero-size value, so no other allocation shares its address.
+var errStopped = new(struct{ _ byte })
+
+// start makes the process's coroutine; it first runs at the first next.
+func (p *Proc) start(fn func(*Proc)) { p.next, p.stop = iter.Pull(p.run(fn)) }
+
+// run returns the coroutine body wrapping the user function.
+func (p *Proc) run(fn func(*Proc)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil && r != errStopped {
+				p.eng.fail(fmt.Errorf("sim: process %s(#%d) panicked: %v\n%s",
+					p.Name, p.ID, r, debug.Stack()))
+			}
+			p.finished = true
+		}()
+		fn(p)
+	}
 }
 
-// yieldToEngine parks the goroutine until the engine resumes it.
+// yieldToEngine suspends the coroutine until the engine resumes it.
 func (p *Proc) yieldToEngine() {
-	p.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // Now returns the current virtual time.

@@ -1,8 +1,9 @@
 // Package sim is a deterministic, process-oriented discrete-event
-// simulation engine. Simulated processes run as goroutines, but exactly one
+// simulation engine. Simulated processes run as coroutines, and exactly one
 // of them (or the engine itself) executes at any moment, handing control
-// back and forth over unbuffered channels; events with equal timestamps are
-// ordered by creation sequence, so a run is a pure function of its inputs.
+// back and forth by direct coroutine switches; events with equal timestamps
+// are ordered by creation sequence, so a run is a pure function of its
+// inputs.
 //
 // The rest of the repository builds a multicore-node memory-system model
 // (package mem) and MPI-like ranks (package env) on top of this engine.

@@ -1,15 +1,17 @@
 #!/bin/sh
 # Tier-1 gate (ROADMAP.md) plus vet and a race pass over the packages that
 # exercise real concurrency: gxhc (goroutine-backed library), env (harness
-# plumbing), verify (schedule-exploration checker, which drives gxhc) —
-# exper's parallel experiment cells are covered transitively.
+# plumbing), verify (schedule-exploration checker, which drives gxhc), and
+# sim (processes are coroutines whose switches carry their own race
+# annotations, and a sharded cluster resumes them from several goroutines)
+# — exper's parallel experiment cells are covered transitively.
 # Equivalent to `make check`; kept as a script for environments without make.
 set -eux
 
 go build ./...
 go vet ./...
 go test -shuffle=on ./...
-go test -race ./internal/gxhc/ ./internal/env/ ./internal/verify/
+go test -race ./internal/sim/ ./internal/gxhc/ ./internal/env/ ./internal/verify/
 # tune's online bandit drives live gxhc communicators (plan switches at
 # quiesced boundaries with goroutines parked around them); the race pass
 # is scoped to those tests — the sweep/select tests are single-threaded
